@@ -92,9 +92,6 @@ inline sim::SimConfig make_sim_config() {
   // the engine split workers between the two levels). Never changes
   // results, only wall time — see docs/ARCHITECTURE.md.
   cfg.intra_threads = exp::intra_threads_from_env();
-  // Stepping engine (SF_ENGINE: cycle | active). Bit-identical results
-  // either way; active wins when the network is mostly idle.
-  cfg.engine = exp::engine_from_env();
   // Distance oracle (SF_ORACLE: auto | table | family). Bit-identical
   // results either way; family sidesteps the O(N^2) BFS table at scale.
   cfg.oracle = exp::oracle_from_env();

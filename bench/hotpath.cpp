@@ -1,24 +1,24 @@
-// Hot-path microbenchmark: a small battery of simulation points, each run
-// under BOTH stepping engines (cycle and active), reporting the stepping
-// loop's work rate — simulated Mcycles/s and flit-hops/s (one flit-hop per
-// crossbar grant) — plus how many cycles the active engine actually stepped
-// versus fast-forwarded. Writes BENCH_hotpath.json for the CI perf-smoke
-// job, which uploads it as an artifact; throughput is reported, never
-// gated, matching the `sweep diff` wall-time policy.
+// Hot-path microbenchmark: a small battery of simulation points reporting
+// the stepping loop's work rate — simulated Mcycles/s and flit-hops/s (one
+// flit-hop per crossbar grant). Writes BENCH_hotpath.json for the CI
+// perf-smoke job, which uploads it as an artifact; throughput is reported,
+// never gated, matching the `sweep diff` wall-time policy.
 //
 // Battery cells:
 //   * reference — slimfly:q=11 | UGAL-L | uniform @ 0.5, the README's
-//     before/after point (busy network; the cycle engine's home turf).
+//     before/after point (busy network: every router works every cycle).
 //   * lowload   — torus:dims=8x8x8 | MIN | stencil3d @ 0.002, a mostly-idle
-//     network where the active engine's router skipping dominates.
+//     network where skipping routers without work dominates.
 //   * drain     — slimfly:q=11 | UGAL-L | uniform @ 0.7, where the
 //     post-injection drain tail is the bulk of the simulated cycles.
+//   * sparse-burst — slimfly:q=11 | MIN | ON/OFF tenants @ 0.02, long idle
+//     stretches between bursts.
 //
 //   hotpath [--topo SPEC] [--routing SPEC] [--traffic NAME] [--load L]
 //           [--out PATH]
 //
 // Passing any of --topo/--routing/--traffic/--load replaces the battery
-// with that single custom cell (still run under both engines).
+// with that single custom cell.
 // SF_BENCH_SCALE / SF_INTRA_THREADS apply as everywhere else.
 
 #include <cstring>
@@ -40,10 +40,9 @@ int usage(const char* argv0, int code) {
   std::cout << "usage: " << argv0
             << " [--topo SPEC] [--routing SPEC] [--traffic NAME]\n"
                "       [--load L] [--out PATH]\n"
-               "defaults: the three-cell battery (reference / lowload / "
-               "drain),\nBENCH_hotpath.json; any cell flag switches to a "
-               "single custom cell.\nEvery cell runs under both stepping "
-               "engines.\n";
+               "defaults: the four-cell battery (reference / lowload / "
+               "drain /\nsparse-burst), BENCH_hotpath.json; any cell flag "
+               "switches to a single\ncustom cell.\n";
   return code;
 }
 
@@ -58,7 +57,7 @@ struct Cell {
   std::int64_t min_measure = 0;
 };
 
-struct EngineRun {
+struct CellRun {
   sim::SimResult res;
   double wall = 0.0;
   double mcyc = 0.0;
@@ -67,22 +66,18 @@ struct EngineRun {
 
 struct CellResult {
   Cell cell;
-  EngineRun cycle;
-  EngineRun active;
-  double speedup = 0.0;  ///< active Mcycles/s over cycle Mcycles/s
-  /// Process peak RSS after this cell's runs — monotone over the process,
+  CellRun run;
+  /// Process peak RSS after this cell's run — monotone over the process,
   /// so the first (largest-network) cell is the meaningful reading; the CI
   /// soft-compare reports its delta PR-over-PR, never gates it.
   std::uint64_t peak_rss = 0;
 };
 
-EngineRun run_cell(const Cell& cell, sim::StepEngine engine,
-                   int intra_override = -1) {
+CellRun run_cell(const Cell& cell, int intra_override = -1) {
   auto topo = topo::make(cell.topo);
   auto bundle = sim::make_routing_spec(cell.routing, *topo);
   auto traffic = sim::make_traffic(cell.traffic, *topo);
   sim::SimConfig cfg = bench::make_sim_config();
-  cfg.engine = engine;
   if (intra_override >= 0) cfg.intra_threads = intra_override;
   if (cfg.num_vcs < bundle.algorithm->max_hops()) {
     cfg.num_vcs = bundle.algorithm->max_hops();
@@ -94,10 +89,10 @@ EngineRun run_cell(const Cell& cell, sim::StepEngine engine,
   sim::Network net(*topo, *bundle.algorithm, *traffic, cfg, cell.load);
   // Pre-reserve the latency pools so the measured region is exactly the
   // allocation-free steady-state loop (tests/hotpath_test.cpp asserts
-  // that property under a counting allocator, for both engines).
+  // that property under a counting allocator).
   net.reserve_measurement_stats();
   Timer timer;
-  EngineRun run;
+  CellRun run;
   run.res = net.run();
   run.wall = timer.seconds();
   if (run.wall > 0.0) {
@@ -107,21 +102,16 @@ EngineRun run_cell(const Cell& cell, sim::StepEngine engine,
   return run;
 }
 
-void print_engine_line(const char* name, const EngineRun& r) {
-  std::cout << "  " << name << ": " << exp::json::number(r.mcyc)
-            << " Mcycles/s, " << exp::json::number(r.fhps)
-            << " flit-hops/s, wall " << exp::json::number(r.wall) << " s\n"
-            << "    cycles " << r.res.cycles << " (stepped "
-            << r.res.cycles_stepped << ", fast-forwarded "
-            << (r.res.cycles - r.res.cycles_stepped) << ")\n";
+void print_run_line(const CellRun& r) {
+  std::cout << "  " << exp::json::number(r.mcyc) << " Mcycles/s, "
+            << exp::json::number(r.fhps) << " flit-hops/s, wall "
+            << exp::json::number(r.wall) << " s, cycles " << r.res.cycles
+            << "\n";
 }
 
-void write_engine_json(std::ostream& os, const EngineRun& r) {
-  const char* in = "          ";
+void write_run_json(std::ostream& os, const CellRun& r) {
+  const char* in = "      ";
   os << in << "\"cycles\": " << r.res.cycles << ",\n"
-     << in << "\"cycles_stepped\": " << r.res.cycles_stepped << ",\n"
-     << in << "\"cycles_fast_forwarded\": "
-     << (r.res.cycles - r.res.cycles_stepped) << ",\n"
      << in << "\"flit_hops\": " << r.res.flit_hops << ",\n"
      << in << "\"wall_seconds\": " << exp::json::number(r.wall) << ",\n"
      << in << "\"mcycles_per_sec\": " << exp::json::number(r.mcyc) << ",\n"
@@ -184,15 +174,15 @@ int main(int argc, char** argv) {
       cells.push_back(
           {"reference", "slimfly:q=11", "UGAL-L", "uniform", 0.5, 0});
       // The low-load cell gets a longer measured window: at ~1 injected
-      // packet per cycle network-wide its wall time under the active
-      // engine would otherwise be too short to time.
+      // packet per cycle network-wide its wall time would otherwise be too
+      // short to time.
       cells.push_back({"lowload", "torus:dims=8x8x8", "MIN", "stencil3d",
                        0.002, 6000});
       cells.push_back(
           {"drain", "slimfly:q=11", "UGAL-L", "uniform", 0.7, 0});
       // Sparse ON/OFF tenants: long OFF segments leave most routers idle,
-      // so the cell records how much of the burst workload's idle time the
-      // active engine's wake scheduling reclaims.
+      // so the cell records how much of the burst workload's idle time
+      // skipping routers without work reclaims.
       cells.push_back({"sparse-burst", "slimfly:q=11", "MIN",
                        "burst:on=40,off=2000,mult=25,base=uniform", 0.02,
                        6000});
@@ -205,20 +195,15 @@ int main(int argc, char** argv) {
                 << cell.load << "\n";
       CellResult r;
       r.cell = cell;
-      r.cycle = run_cell(cell, sim::StepEngine::Cycle);
-      r.active = run_cell(cell, sim::StepEngine::Active);
-      r.speedup = r.cycle.mcyc > 0.0 ? r.active.mcyc / r.cycle.mcyc : 0.0;
+      r.run = run_cell(cell);
       r.peak_rss = peak_rss_bytes();
-      print_engine_line("engine cycle ", r.cycle);
-      print_engine_line("engine active", r.active);
-      std::cout << "  active/cycle speedup: "
-                << exp::json::number(r.speedup) << "x\n";
+      print_run_line(r.run);
       results.push_back(std::move(r));
     }
 
-    // Intra-point scaling curve: the reference cell re-run under the cycle
-    // engine with fixed stepping teams of 1/2/4 (+ all hardware threads
-    // when the host has more). Recorded in the BENCH trajectory so the
+    // Intra-point scaling curve: the reference cell re-run with fixed
+    // stepping teams of 1/2/4 (+ all hardware threads when the host has
+    // more). Recorded in the BENCH trajectory so the
     // multi-core speedup (or, on small hosts, the barrier overhead of
     // oversubscribed teams) is a tracked number, not folklore. Results are
     // bit-identical for every team size; only the wall time moves.
@@ -233,9 +218,9 @@ int main(int argc, char** argv) {
       const int hw = static_cast<int>(std::thread::hardware_concurrency());
       if (hw > 4) teams.push_back(hw);
       std::cout << "hotpath[scaling]: " << cells.front().topo
-                << " | cycle engine | intra team sweep\n";
+                << " | intra team sweep\n";
       for (int w : teams) {
-        EngineRun r = run_cell(cells.front(), sim::StepEngine::Cycle, w);
+        CellRun r = run_cell(cells.front(), w);
         scaling.push_back({w, r.wall, r.mcyc});
         std::cout << "  intra=" << w << ": " << exp::json::number(r.mcyc)
                   << " Mcycles/s, wall " << exp::json::number(r.wall)
@@ -245,7 +230,9 @@ int main(int argc, char** argv) {
 
     std::ofstream os(out_path);
     if (!os) throw std::invalid_argument("cannot write \"" + out_path + "\"");
-    os << "{\n  \"bench\": \"hotpath\",\n  \"cells\": [\n";
+    os << "{\n  \"bench\": \"hotpath\",\n"
+       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+       << ",\n  \"cells\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const CellResult& r = results[i];
       os << "    {\n"
@@ -256,18 +243,12 @@ int main(int argc, char** argv) {
          << "      \"traffic\": " << exp::json::quote(r.cell.traffic)
          << ",\n"
          << "      \"load\": " << exp::json::number(r.cell.load) << ",\n"
-         << "      \"active_speedup\": " << exp::json::number(r.speedup)
-         << ",\n"
-         << "      \"peak_rss_bytes\": " << r.peak_rss << ",\n"
-         << "      \"engines\": {\n        \"cycle\": {\n";
-      write_engine_json(os, r.cycle);
-      os << "        },\n        \"active\": {\n";
-      write_engine_json(os, r.active);
-      os << "        }\n      }\n    }"
-         << (i + 1 < results.size() ? "," : "") << "\n";
+         << "      \"peak_rss_bytes\": " << r.peak_rss << ",\n";
+      write_run_json(os, r.run);
+      os << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
-    // The first cell's cycle-engine numbers also land at the top level,
-    // keeping older BENCH_hotpath.json consumers working.
+    // The first cell's numbers also land at the top level, keeping older
+    // BENCH_hotpath.json consumers working.
     const CellResult& head = results.front();
     os << "  ],\n";
     if (!scaling.empty()) {
@@ -285,20 +266,20 @@ int main(int argc, char** argv) {
        << "  \"traffic\": " << exp::json::quote(head.cell.traffic) << ",\n"
        << "  \"load\": " << exp::json::number(head.cell.load) << ",\n"
        << "  \"intra_threads\": " << exp::intra_threads_from_env() << ",\n"
-       << "  \"cycles\": " << head.cycle.res.cycles << ",\n"
-       << "  \"flit_hops\": " << head.cycle.res.flit_hops << ",\n"
-       << "  \"wall_seconds\": " << exp::json::number(head.cycle.wall)
+       << "  \"cycles\": " << head.run.res.cycles << ",\n"
+       << "  \"flit_hops\": " << head.run.res.flit_hops << ",\n"
+       << "  \"wall_seconds\": " << exp::json::number(head.run.wall)
        << ",\n"
-       << "  \"mcycles_per_sec\": " << exp::json::number(head.cycle.mcyc)
+       << "  \"mcycles_per_sec\": " << exp::json::number(head.run.mcyc)
        << ",\n"
-       << "  \"flit_hops_per_sec\": " << exp::json::number(head.cycle.fhps)
+       << "  \"flit_hops_per_sec\": " << exp::json::number(head.run.fhps)
        << ",\n"
        << "  \"latency\": "
-       << exp::json::number(head.cycle.res.avg_latency) << ",\n"
+       << exp::json::number(head.run.res.avg_latency) << ",\n"
        << "  \"accepted\": "
-       << exp::json::number(head.cycle.res.accepted_load) << ",\n"
+       << exp::json::number(head.run.res.accepted_load) << ",\n"
        << "  \"saturated\": "
-       << (head.cycle.res.saturated ? "true" : "false") << "\n"
+       << (head.run.res.saturated ? "true" : "false") << "\n"
        << "}\n";
     std::cout << "wrote " << out_path << "\n";
   } catch (const std::exception& e) {

@@ -3,9 +3,8 @@
 
 Usage: bench_compare.py OLD.json NEW.json
 
-Joins the two batteries on cell name and prints per-cell Mcycles/s deltas
-(cycle and active engines), the peak-RSS delta, and the intra-scaling curve
-side by side. REPORT ONLY: always exits 0 when both files parse (CI hardware
+Joins the two batteries on cell name and prints per-cell Mcycles/s deltas,
+the peak-RSS delta, and the intra-scaling curve side by side. REPORT ONLY: always exits 0 when both files parse (CI hardware
 varies run to run, so throughput is recorded, never gated — the same policy
 as `sweep diff` wall time). A missing or unreadable OLD file also exits 0
 with a note, so the very first run of a new CI branch does not fail.
@@ -52,8 +51,14 @@ def cell_map(doc):
             for i, c in enumerate(doc.get("cells", []))}
 
 
-def engine_rate(cell, engine):
-    return cell.get("engines", {}).get(engine, {}).get("mcycles_per_sec")
+def cell_rate(cell):
+    """A cell's Mcycles/s. Artifacts written while the simulator had two
+    stepping engines nest it per engine; their "cycle" engine is the
+    baseline (CI's first run after the schema change compares against
+    one)."""
+    if "mcycles_per_sec" in cell:
+        return cell["mcycles_per_sec"]
+    return cell.get("engines", {}).get("cycle", {}).get("mcycles_per_sec")
 
 
 def main():
@@ -77,19 +82,13 @@ def main():
         return 0
 
     old_cells, new_cells = cell_map(old), cell_map(new)
-    print("| cell | cycle Mcyc/s (old → new) | Δ | active Mcyc/s (old → new)"
-          " | Δ |")
-    print("|---|---|---|---|---|")
+    print("| cell | Mcyc/s (old → new) | Δ |")
+    print("|---|---|---|")
     for name, cell in new_cells.items():
         prev = old_cells.get(name)
-        for_row = []
-        for engine in ("cycle", "active"):
-            o = engine_rate(prev, engine) if prev else None
-            n = engine_rate(cell, engine)
-            for_row.append(f"{fmt_rate(o)} → {fmt_rate(n)}")
-            for_row.append(fmt_delta(o, n))
-        print(f"| {name} | {for_row[0]} | {for_row[1]} | {for_row[2]} |"
-              f" {for_row[3]} |")
+        o = cell_rate(prev) if prev else None
+        n = cell_rate(cell)
+        print(f"| {name} | {fmt_rate(o)} → {fmt_rate(n)} | {fmt_delta(o, n)} |")
     dropped = sorted(set(old_cells) - set(new_cells))
     if dropped:
         print(f"\n_Cells present before but not now: {', '.join(dropped)}_")

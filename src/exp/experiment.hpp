@@ -62,10 +62,10 @@ using ConfigOverrides = std::map<std::string, double>;
 /// Applies overrides onto `base`. Keys are the SimConfig field names
 /// (num_vcs, buffer_per_port, channel_latency, router_pipeline,
 /// credit_delay, alloc_iterations, output_staging, warmup_cycles,
-/// measure_cycles, drain_cycles, latency_cap, engine, oracle); with
+/// measure_cycles, drain_cycles, latency_cap, oracle, stats_window); with
 /// `allow_run_keys` also seed and intra_threads (suite-level blocks own
-/// those; per-series blocks must not — engine and oracle are allowed per
-/// series because, like intra_threads, they cannot change results and
+/// those; per-series blocks must not — oracle and stats_window are allowed
+/// per series because, like intra_threads, they cannot change results and
 /// point_seed skips them).
 /// Unknown keys and non-integral values for integer fields throw
 /// std::invalid_argument naming the key and `context`.
@@ -139,17 +139,6 @@ std::size_t threads_from_env();
 /// plausible digit string (0 = let the engine's scheduler decide); unset or
 /// unparsable means 1 (sequential stepping), the SimConfig default.
 int intra_threads_from_env();
-
-/// Parses a stepping-engine name ("cycle" | "active"); anything else throws
-/// std::invalid_argument naming `context`.
-sim::StepEngine step_engine_from_string(const std::string& name,
-                                        const std::string& context);
-
-/// Stepping-engine policy: SF_ENGINE env var when set to a known name;
-/// unset or unparsable means StepEngine::Cycle, the SimConfig default
-/// (matching the tolerance of the other env knobs — the engine cannot
-/// change results, so junk safely falls back).
-sim::StepEngine engine_from_env();
 
 /// Parses a distance-oracle mode ("auto" | "table" | "family"); anything
 /// else throws std::invalid_argument naming `context`.

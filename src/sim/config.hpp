@@ -10,25 +10,10 @@
 
 namespace slimfly::sim {
 
-/// Stepping engine selection. Both engines produce bit-identical results —
-/// the knob only trades wall-clock time (like intra_threads), so it is
-/// excluded from exp::point_seed hashing and allowed per-series in suites.
-///
-///   Cycle  — visit every router every cycle (the PR 5 data-oriented loop).
-///   Active — per-shard active-router sets plus a min-heap of future wake
-///            times: quiet routers are skipped and globally-idle stretches
-///            fast-forward the cycle counter in one jump
-///            (docs/ARCHITECTURE.md §"Stepping engines").
-enum class StepEngine : std::uint8_t { Cycle = 0, Active = 1 };
-
-inline const char* to_string(StepEngine engine) {
-  return engine == StepEngine::Active ? "active" : "cycle";
-}
-
 /// Distance-oracle selection. Every oracle returns exactly the BFS
 /// distances (certified by tests/oracle_test.cpp) and consumes the RNG
-/// stream bit-identically in sample_minimal_path, so — like StepEngine —
-/// the knob trades memory/build time only, is excluded from
+/// stream bit-identically in sample_minimal_path, so the knob trades
+/// memory/build time only, is excluded from
 /// exp::point_seed hashing, and is allowed per-series in suites.
 ///
 ///   Auto   — dense DistanceTable for small networks (cheap and fastest to
@@ -73,9 +58,6 @@ struct SimConfig {
   /// bit-identical for every value: the knob only trades wall-clock time.
   int intra_threads = 1;
 
-  /// Stepping engine (cycle | active). Never changes results; see StepEngine.
-  StepEngine engine = StepEngine::Cycle;
-
   /// Distance-oracle backend (auto | table | family). Never changes
   /// results; see OracleMode.
   OracleMode oracle = OracleMode::Auto;
@@ -84,8 +66,8 @@ struct SimConfig {
   /// windowed collection. When > 0, every window of W cycles accumulates a
   /// WindowStats row (generated/delivered/latency/dependency stalls — see
   /// stats.hpp) exposed as SimResult::windows and in BENCH JSON. Pure
-  /// observation: never changes simulation results, so — like engine and
-  /// oracle — it is excluded from exp::point_seed hashing and allowed
+  /// observation: never changes simulation results, so — like oracle — it
+  /// is excluded from exp::point_seed hashing and allowed
   /// per-series in suites.
   std::int64_t stats_window = 0;
 

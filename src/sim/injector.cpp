@@ -16,7 +16,6 @@ void Injector::init(int num_endpoints, int initial_credits,
   credits_.assign(n, initial_credits);
   rng_.assign(n, Rng{});
   next_seq_.assign(n, 0);
-  next_arrival_.assign(n, -1);
   for (int e = 0; e < num_endpoints; ++e) {
     rng_[static_cast<std::size_t>(e)] =
         rng_stream(seed, kEndpointStreamTag, static_cast<std::uint64_t>(e));

@@ -8,9 +8,8 @@
 // order — the keystone of router-parallel stepping (sim/network.hpp).
 //
 // Storage is SoA: one capacity-exact array per field instead of an array
-// of endpoint structs. The injection phase walks a router's endpoints
-// checking credits and (active engine) planned arrivals every cycle —
-// with a million endpoints those polls now stream through dense int
+// of endpoint structs. The injection phase walks every endpoint every
+// cycle — with a million endpoints those polls stream through dense
 // arrays instead of striding over struct padding, and each field costs
 // exactly its own width. Endpoints are numbered contiguously per router
 // (topology first_endpoint order), so each stepping shard owns contiguous
@@ -38,12 +37,6 @@ struct EndpointRef {
   int& credits;                    ///< slots free in the injection buffer
   Rng& rng;                        ///< private stream, seeded from (seed, id)
   std::int64_t& next_seq;          ///< per-endpoint packet sequence number
-  /// Active engine only: the precomputed cycle of the next Bernoulli
-  /// arrival while the source queue is empty (kUnplanned = not planned —
-  /// backlog mode draws live per cycle; INT64_MAX = never, for load 0).
-  /// The cycle engine ignores it, so the field is pure scheduling state
-  /// and never observable in results.
-  std::int64_t& next_arrival;
   // (Returning uplink credits ride the owning router's ep_credits event
   // line — see sim/router.hpp — so idle endpoints are never polled.)
 };
@@ -56,8 +49,7 @@ class Injector {
 
   /* SF_HOT */ EndpointRef endpoint(int e) {
     const auto i = static_cast<std::size_t>(e);
-    return EndpointRef{source_queue_[i], credits_[i], rng_[i], next_seq_[i],
-                       next_arrival_[i]};
+    return EndpointRef{source_queue_[i], credits_[i], rng_[i], next_seq_[i]};
   }
   /* SF_HOT */ GrowRing<Packet>& source_queue(int e) {
     return source_queue_[static_cast<std::size_t>(e)];
@@ -69,9 +61,6 @@ class Injector {
     return credits_[static_cast<std::size_t>(e)];
   }
   /* SF_HOT */ Rng& rng(int e) { return rng_[static_cast<std::size_t>(e)]; }
-  /* SF_HOT */ std::int64_t& next_arrival(int e) {
-    return next_arrival_[static_cast<std::size_t>(e)];
-  }
   int num_endpoints() const { return static_cast<int>(credits_.size()); }
 
   /// Total packets waiting in source queues (saturation indicator).
@@ -82,7 +71,6 @@ class Injector {
   std::vector<int> credits_;
   std::vector<Rng> rng_;
   std::vector<std::int64_t> next_seq_;
-  std::vector<std::int64_t> next_arrival_;
 };
 
 }  // namespace slimfly::sim

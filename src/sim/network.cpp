@@ -26,10 +26,6 @@ inline int ctz64(std::uint64_t mask) {
 #endif
 }
 
-// EndpointState::next_arrival sentinels (active engine only).
-constexpr std::int64_t kUnplannedArrival = -1;  // backlog mode: draw live
-constexpr std::int64_t kNeverArrives = std::numeric_limits<std::int64_t>::max();
-
 std::size_t resolve_intra_threads(int requested, int num_routers) {
   std::size_t w;
   if (requested > 1) {
@@ -51,7 +47,8 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
       routing_(routing),
       traffic_(traffic),
       config_(config),
-      load_(offered_load) {
+      load_(offered_load),
+      load_coin_(Rng::coin_threshold(offered_load)) {
   if (config_.num_vcs < routing_.max_hops()) {
     throw std::invalid_argument(
         "Network: num_vcs must cover the routing algorithm's max hops (" +
@@ -78,8 +75,8 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
   }
   if (topo_.num_routers() > 0x10000) {
     throw std::invalid_argument(
-        "Network: more than 65536 routers is unsupported (packet router "
-        "ids are 16-bit; the O(n^2) tables would be infeasible anyway)");
+        "Network: more than 65536 routers is unsupported (router ids are "
+        "16-bit in Packet::dst_router and InlinePath)");
   }
   if (config_.buffer_per_vc() < 1) {
     throw std::invalid_argument("Network: buffer_per_port too small for num_vcs");
@@ -92,8 +89,7 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
     if (traffic_.is_active(e)) ++active_endpoints_;
   }
   // ---- workload layer: cache the pattern's flags and preallocate every
-  // container the steady-state loop will touch (before init_active, whose
-  // initial wake/plan pass depends on traffic_self_clocked_).
+  // container the steady-state loop will touch.
   traffic_modulated_ = traffic_.modulates_rate();
   traffic_self_clocked_ = traffic_.self_clocked();
   stats_window_ = config_.stats_window;
@@ -126,9 +122,7 @@ Network::Network(const Topology& topo, RoutingAlgorithm& routing,
       }
       completion_outbox_[s].reserve(cap);
     }
-    unlocked_scratch_.reserve(traffic_.completion_fanout());
   }
-  if (config_.engine == StepEngine::Active) init_active();
 }
 
 void Network::wire() {
@@ -190,7 +184,7 @@ void Network::wire() {
           "(port indices are 16-bit)");
     }
     total_ports += ports;
-    // Injection inputs only ever buffer on VC 0 (both engines), so they
+    // Injection inputs only ever buffer on VC 0, so they
     // carry single-VC spans instead of num_vcs worst-case buffers.
     total_vcs += deg * nvc + eps;
     total_cache += ports * nvc;
@@ -303,13 +297,24 @@ void Network::wire() {
 
   // Contiguous router shards (endpoints follow their router). The split is
   // balanced but otherwise arbitrary: results do not depend on it.
+  // Endpoints are numbered contiguously in router order, so each shard's
+  // endpoints form one contiguous range too.
   shard_ranges_.clear();
-  for (std::size_t s = 0; s < shards_; ++s) {
+  shard_endpoints_.clear();
+  for (std::size_t s = 0, r = 0, e = 0; s < shards_; ++s) {
     int lo = static_cast<int>(s * static_cast<std::size_t>(nr) / shards_);
     int hi = static_cast<int>((s + 1) * static_cast<std::size_t>(nr) / shards_);
     shard_ranges_.emplace_back(lo, hi);
+    const std::size_t first = e;
+    for (; r < static_cast<std::size_t>(hi); ++r) {
+      e += static_cast<std::size_t>(topo_.endpoints_at(static_cast<int>(r)));
+    }
+    shard_endpoints_.emplace_back(static_cast<int>(first), static_cast<int>(e));
   }
+  work_ = std::vector<std::atomic<std::uint64_t>>(
+      (static_cast<std::size_t>(nr) + 63) / 64);
   shard_totals_.assign(shards_, ShardTotals{});
+  shard_backlog_.assign(shards_, 0);
   shard_errors_.assign(shards_, nullptr);
 
   // Persistent allocation scratch, sized for the widest router per shard.
@@ -378,6 +383,26 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
   return static_cast<int>(it - nbrs.begin());
 }
 
+template <typename Body>
+/* SF_HOT */ void Network::for_each_busy(std::size_t shard, Body body) {
+  const auto [lo, hi] = shard_ranges_[shard];
+  const int first = lo / 64;
+  const int last = (hi - 1) / 64;
+  for (int w = first; w <= last; ++w) {
+    // One snapshot per word: a bit set later in this phase belongs to a
+    // router that had nothing for this phase to do (see "Work set").
+    std::uint64_t mask = work_[static_cast<std::size_t>(w)].load(
+        std::memory_order_relaxed);
+    if (w == first) mask &= ~std::uint64_t{0} << (lo % 64);
+    if (w == last && hi % 64 != 0) mask &= ~(~std::uint64_t{0} << (hi % 64));
+    while (mask) {
+      const int r = w * 64 + ctz64(mask);
+      mask &= mask - 1;
+      body(r);
+    }
+  }
+}
+
 /* SF_HOT */ void Network::arrivals_router(std::size_t shard, int r) {
   RouterState& router = routers_[static_cast<std::size_t>(r)];
   // Credits coming back from downstream consumption of my outputs.
@@ -400,6 +425,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       int vc = pkt->wire_vc;  // VC used on the link just traversed
       in.vcs[static_cast<std::size_t>(vc)].push(*pkt);
       router.vc_occupied[static_cast<std::size_t>(i)] |= std::uint64_t{1} << vc;
+      ++router.buffered;
       in.incoming.drop_front();
     }
   }
@@ -415,11 +441,30 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
   while (auto j = router.ep_credits.pop_ready(cycle_)) {
     ++injector_.credits(first_ep + *j);
   }
+  // Still holding anything? Cheapest checks first: a busy router answers
+  // at the first one.
+  if (router.buffered > 0 || !router.ejection.empty() ||
+      !router.ep_credits.empty()) {
+    return;
+  }
+  for (std::uint64_t w : router.staging_nonempty) {
+    if (w) return;
+  }
+  for (int p = 0; p < router.network_ports; ++p) {
+    if (!router.inputs[static_cast<std::size_t>(p)].incoming.empty() ||
+        !router.outputs[static_cast<std::size_t>(p)].credit_return.empty()) {
+      return;
+    }
+  }
+  // Idle: leave the work set. Nothing pushes into another router's state
+  // during arrivals, so no mark can race with this clear; the next push
+  // into my state marks me again.
+  work_[static_cast<std::size_t>(r) / 64].fetch_and(
+      ~(std::uint64_t{1} << (r % 64)), std::memory_order_relaxed);
 }
 
 /* SF_HOT */ void Network::phase_arrivals(std::size_t shard) {
-  auto [lo, hi] = shard_ranges_[shard];
-  for (int r = lo; r < hi; ++r) arrivals_router(shard, r);
+  for_each_busy(shard, [&](int r) { arrivals_router(shard, r); });
 }
 
 /* SF_HOT */ void Network::generate_packet(std::size_t shard, int e, int dst,
@@ -447,62 +492,82 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
   }
 }
 
-/* SF_HOT */ void Network::injection_router(std::size_t shard, int r, bool in_measurement) {
-  for (int j = 0; j < topo_.endpoints_at(r); ++j) {
-    int e = topo_.first_endpoint(r) + j;
-    auto ep = injector_.endpoint(e);  // reference bundle over the SoA columns
-    if (traffic_self_clocked_) {
-      // Self-clocked replay: the pattern decides when the next message is
-      // eligible (FIFO order plus `after:` dependency delivery); no load
-      // coin is consumed — the workload itself is the clock.
+/* SF_HOT */ void Network::phase_injection(std::size_t shard) {
+  const bool in_measurement =
+      cycle_ >= config_.warmup_cycles &&
+      cycle_ < config_.warmup_cycles + config_.measure_cycles;
+  const auto [first, last] = shard_endpoints_[shard];
+  // Only an endpoint that generates this cycle or kept packets queued last
+  // cycle can have a non-empty source queue, so while no endpoint of the
+  // shard kept any, the others skip the queue check.
+  const bool any_backlog = shard_backlog_[shard] > 0;
+  int backlog = 0;
+  // One loop per traffic kind, so the per-endpoint body carries no branch
+  // on it: `draw(e, rng, dep_stall)` returns e's destination this cycle,
+  // or -1.
+  auto each_endpoint = [&](auto draw) {
+    for (int e = first; e < last; ++e) {
       std::int64_t dep_stall = 0;
-      int dst = traffic_.next_send(e, cycle_, &dep_stall);
+      const int dst = draw(e, injector_.rng(e), dep_stall);
       if (dst >= 0) generate_packet(shard, e, dst, in_measurement, dep_stall);
-    } else {
-      // Bernoulli generation, drawing only from the endpoint's own stream.
-      // Rate-modulated patterns scale the coin's probability per cycle; a
-      // hard-OFF cycle (multiplier 0) consumes no draw at all, so the
-      // stream position depends only on ON-cycle count — the invariant the
-      // active engine's batched planning relies on (see modulated_hit).
-      const bool hit = traffic_modulated_ ? modulated_hit(e, cycle_, ep.rng)
-                                          : ep.rng.bernoulli(load_);
-      if (hit) {
-        int dst = traffic_.destination(e, ep.rng);
-        if (dst >= 0) generate_packet(shard, e, dst, in_measurement, 0);
+      if (dst >= 0 || any_backlog) {
+        const GrowRing<Packet>& queue = injector_.source_queue(e);
+        if (!queue.empty() && injector_.credits(e) > 0) uplink(e);
+        if (!queue.empty()) ++backlog;
       }
     }
-    // Uplink: move the head of the source queue into the router's
-    // injection buffer (VC 0) when a credit is available. Routing happens
-    // here so UGAL sees the queue state at the moment of injection; that
-    // state is frozen for the whole phase, so the endpoint order cannot
-    // influence the decision.
-    if (!ep.source_queue.empty() && ep.credits > 0) {
-      Packet pkt = ep.source_queue.pop_front();
-      --ep.credits;
-      pkt.t_injected = static_cast<std::int32_t>(cycle_);
-      routing_.route_at_injection(*this, pkt, ep.rng);
-      RouterState& router = routers_[static_cast<std::size_t>(r)];
-      int port = router.network_ports + j;
-      router.inputs[static_cast<std::size_t>(port)].vcs[0].push(pkt);
-      router.vc_occupied[static_cast<std::size_t>(port)] |= 1;
-    }
+  };
+  if (traffic_self_clocked_) {
+    // Self-clocked replay: the pattern decides when the next message is
+    // eligible (FIFO order plus `after:` dependency delivery); no load coin
+    // is consumed — the workload itself is the clock.
+    each_endpoint([&](int e, Rng&, std::int64_t& dep_stall) {
+      return traffic_.next_send(e, cycle_, &dep_stall);
+    });
+  } else if (traffic_modulated_) {
+    // Rate-modulated patterns scale the coin's probability per cycle; a
+    // hard-OFF cycle (multiplier 0) consumes no draw at all.
+    each_endpoint([&](int e, Rng& rng, std::int64_t&) {
+      const double m = traffic_.rate_multiplier(e, cycle_);
+      return m > 0.0 && rng.bernoulli(std::min(1.0, load_ * m))
+                 ? traffic_.destination(e, rng)
+                 : -1;
+    });
+  } else {
+    // Bernoulli generation, drawing only from the endpoint's own stream
+    // (coin() is bernoulli(load_) on the integer draw).
+    each_endpoint([&](int e, Rng& rng, std::int64_t&) {
+      return rng.coin(load_coin_) ? traffic_.destination(e, rng) : -1;
+    });
   }
+  shard_backlog_[shard] = backlog;
 }
 
-/* SF_HOT */ void Network::phase_injection(std::size_t shard) {
-  bool in_measurement = cycle_ >= config_.warmup_cycles &&
-                        cycle_ < config_.warmup_cycles + config_.measure_cycles;
-  auto [lo, hi] = shard_ranges_[shard];
-  for (int r = lo; r < hi; ++r) injection_router(shard, r, in_measurement);
+// Moves the head of e's source queue into its router's injection buffer
+// (VC 0). Routing happens here so UGAL sees the queue state at the moment
+// of injection; that state is frozen for the whole phase, so the endpoint
+// order cannot influence the decision.
+/* SF_HOT */ void Network::uplink(int e) {
+  auto ep = injector_.endpoint(e);  // reference bundle over the SoA columns
+  Packet pkt = ep.source_queue.pop_front();
+  --ep.credits;
+  pkt.t_injected = static_cast<std::int32_t>(cycle_);
+  routing_.route_at_injection(*this, pkt, ep.rng);
+  const int r = topo_.endpoint_router(e);
+  RouterState& router = routers_[static_cast<std::size_t>(r)];
+  const int port = router.network_ports + (e - topo_.first_endpoint(r));
+  router.inputs[static_cast<std::size_t>(port)].vcs[0].push(pkt);
+  router.vc_occupied[static_cast<std::size_t>(port)] |= 1;
+  ++router.buffered;
+  mark_busy(r);
 }
 
 /* SF_HOT */ void Network::phase_allocation(std::size_t shard) {
-  auto [lo, hi] = shard_ranges_[shard];
   // Both internal-speedup iterations run back-to-back per router: routers
   // exchange nothing during allocation (credits pushed upstream carry
   // credit_delay >= 1, so they surface in a later cycle's arrivals), which
   // makes the per-router ordering equivalent to the per-iteration one.
-  for (int r = lo; r < hi; ++r) allocate_router(shard, r);
+  for_each_busy(shard, [&](int r) { allocate_router(shard, r); });
 }
 
 // Requests are gathered per occupied input VC (the vc_occupied bitmask
@@ -519,6 +584,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
   const int num_inputs = static_cast<int>(router.inputs.size());
   const int num_outputs = static_cast<int>(router.outputs.size());
   const int nvc = config_.num_vcs;
+  if (router.buffered == 0) return;  // in the work set for its lines only
   for (int iter = 0; iter < config_.alloc_iterations; ++iter) {
     std::fill(scratch.offsets.begin(),
               scratch.offsets.begin() + num_outputs + 1, 0);
@@ -606,15 +672,14 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
           staged_pkt = &routers_[static_cast<std::size_t>(out.dest_router)]
                             .inputs[static_cast<std::size_t>(out.dest_port)]
                             .incoming.push_slot(ready);
-          // The downstream router must run arrivals when this flit matures,
-          // even if it is asleep by then.
-          if (engine_active_) schedule_wake(shard, out.dest_router, ready);
+          mark_busy(out.dest_router);
         } else {
           staged_pkt = &out.staging.push_slot();
         }
         Packet& staged = *staged_pkt;
         staged = buf.front();
         buf.drop_front();
+        --router.buffered;
         router.route_cache[static_cast<std::size_t>(req.input_port) *
                                static_cast<std::size_t>(nvc) +
                            static_cast<std::size_t>(req.vc)]
@@ -638,19 +703,13 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
           routers_[static_cast<std::size_t>(in.src_router)]
               .outputs[static_cast<std::size_t>(in.src_port)]
               .credit_return.push(cycle_ + config_.credit_delay, req.vc);
-          // Credit maturation must run on time even on a sleeping upstream
-          // router: UGAL's queue_estimate reads `consumed` remotely, so a
-          // stale counter would change adaptive decisions.
-          if (engine_active_) {
-            schedule_wake(shard, in.src_router, cycle_ + config_.credit_delay);
-          }
+          // Credit maturation must run on time even on an otherwise idle
+          // upstream router: UGAL's queue_estimate reads `consumed`
+          // remotely, so a stale counter would change adaptive decisions.
+          mark_busy(in.src_router);
         } else {
           router.ep_credits.push(cycle_ + config_.credit_delay,
                                  req.input_port - router.network_ports);
-          // This router may drain to idle before the uplink credit matures.
-          if (engine_active_) {
-            schedule_wake(shard, r, cycle_ + config_.credit_delay);
-          }
         }
         break;
       }
@@ -661,7 +720,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
   }
 }
 
-/* SF_HOT */ void Network::transmission_router(std::size_t shard, int r) {
+/* SF_HOT */ void Network::transmission_router(int r) {
   const std::int64_t ready =
       cycle_ + config_.channel_latency + config_.router_pipeline;
   RouterState& router = routers_[static_cast<std::size_t>(r)];
@@ -681,9 +740,6 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
       if (op >= router.network_ports) {
         router.ejection.push_slot(ready) = out.staging.front();
         out.staging.drop_front();
-        // The delivery must run when the flit matures, and nothing else
-        // keeps this router awake once its buffers drain.
-        if (engine_active_) schedule_wake(shard, r, ready);
       }
       if (--out.staged == 0) {
         router.staging_nonempty[static_cast<std::size_t>(w)] &=
@@ -694,8 +750,7 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 }
 
 /* SF_HOT */ void Network::phase_transmission(std::size_t shard) {
-  auto [lo, hi] = shard_ranges_[shard];
-  for (int r = lo; r < hi; ++r) transmission_router(shard, r);
+  for_each_busy(shard, [&](int r) { transmission_router(r); });
 }
 
 /* SF_HOT */ void Network::deliver(std::size_t shard, const Packet& pkt) {
@@ -724,25 +779,15 @@ void Network::throw_not_adjacent(int router, int neighbor) const {
 // Serial between-cycles completion pass: every delivery recorded during this
 // cycle's arrivals unlocks its dependents in the pattern before the next
 // cycle begins. Running it serially — even with one shard, where deliver()
-// could have applied completions inline — gives every (shards, engine)
-// configuration the same uniform one-cycle eligibility deferral, which is
-// what makes replay schedules bit-identical across the whole matrix.
+// could have applied completions inline — gives every shard count the same
+// uniform one-cycle eligibility deferral, which is what makes replay
+// schedules bit-identical across the whole matrix.
 /* SF_HOT */ void Network::apply_completions() {
   for (std::size_t s = 0; s < shards_; ++s) {
     for (std::int64_t packed : completion_outbox_[s]) {
       const int src = static_cast<int>(packed >> 32);
       const std::int64_t seq = packed & 0xffffffff;
-      unlocked_scratch_.clear();
-      traffic_.on_delivered(src, seq, cycle_, unlocked_scratch_);
-      if (engine_active_) {
-        for (int e : unlocked_scratch_) {
-          // Called serially, so pass the owner shard: the wake goes straight
-          // to its heap, never through an outbox.
-          const int r = topo_.endpoint_router(e);
-          schedule_wake(shard_of_router_[static_cast<std::size_t>(r)], r,
-                        cycle_ + 1);
-        }
-      }
+      traffic_.on_delivered(src, seq, cycle_);
     }
     completion_outbox_[s].clear();
   }
@@ -787,23 +832,13 @@ void Network::resize_team(int want) {
       }
     }
   };
-  if (engine_active_) {
-    guarded(&Network::active_phase_arrivals);
-    sync();
-    guarded(&Network::active_phase_injection);
-    sync();
-    guarded(&Network::active_phase_allocation);
-    sync();
-    guarded(&Network::active_phase_transmission);
-  } else {
-    guarded(&Network::phase_arrivals);
-    sync();
-    guarded(&Network::phase_injection);
-    sync();
-    guarded(&Network::phase_allocation);
-    sync();
-    guarded(&Network::phase_transmission);
-  }
+  guarded(&Network::phase_arrivals);
+  sync();
+  guarded(&Network::phase_injection);
+  sync();
+  guarded(&Network::phase_allocation);
+  sync();
+  guarded(&Network::phase_transmission);
 }
 
 /* SF_HOT */ void Network::step() {
@@ -826,293 +861,9 @@ void Network::resize_team(int want) {
   for (auto& err : shard_errors_) {
     if (err) std::rethrow_exception(err);
   }
-  // Merge cross-shard wake events serially, before ++cycle_, so every heap
-  // is complete when fast_forward inspects the tops between steps.
-  if (engine_active_ && shards_ > 1) drain_wake_outboxes();
   if (traffic_self_clocked_) apply_completions();
   ++cycle_;
-  ++cycles_stepped_;
   stats_dirty_ = true;
-}
-
-// ---- active engine ---------------------------------------------------------
-
-void Network::init_active() {
-  engine_active_ = true;
-  shard_of_router_.assign(static_cast<std::size_t>(num_routers_), 0);
-  for (std::size_t s = 0; s < shards_; ++s) {
-    for (int r = shard_ranges_[s].first; r < shard_ranges_[s].second; ++r) {
-      shard_of_router_[static_cast<std::size_t>(r)] =
-          static_cast<std::uint16_t>(s);
-    }
-  }
-  wake_heaps_.assign(shards_, {});
-  wake_outbox_.assign(shards_, {});
-  busy_.assign(shards_, {});
-  woken_.assign(shards_, {});
-  active_list_.assign(shards_, {});
-  for (std::size_t s = 0; s < shards_; ++s) {
-    auto [lo, hi] = shard_ranges_[s];
-    const std::size_t owned = static_cast<std::size_t>(hi - lo);
-    busy_[s].assign((owned + 63) / 64, 0);
-    woken_[s].assign((owned + 63) / 64, 0);
-    active_list_[s].reserve(owned);
-    // Live wakes targeting a router are bounded by the un-matured entries
-    // of its event lines (each push schedules exactly one wake at the
-    // entry's ready cycle, popped at that cycle's build) plus one per
-    // endpoint — a pending injector arrival, or for self-clocked replay a
-    // dependency-unlock wake at cycle+1 (consumed next build, and each
-    // endpoint's head unlocks at most once) — so the heap's worst case is
-    // the sum of the line capacities wire() chose. Reserving it keeps the
-    // steady-state push_heap/push_back allocation-free.
-    std::size_t cap = 1, inputs = 0;
-    for (int r = lo; r < hi; ++r) {
-      const RouterState& router = routers_[static_cast<std::size_t>(r)];
-      for (int i = 0; i < router.network_ports; ++i) {
-        cap += router.inputs[static_cast<std::size_t>(i)].incoming.capacity();
-        cap += router.outputs[static_cast<std::size_t>(i)]
-                   .credit_return.capacity();
-      }
-      cap += router.ejection.capacity() + router.ep_credits.capacity();
-      cap += static_cast<std::size_t>(topo_.endpoints_at(r));
-      inputs += router.inputs.size();
-    }
-    wake_heaps_[s].reserve(cap);
-    // Outbox: cleared every cycle; bounded by this shard's grant count per
-    // cycle (one flit wake + one credit wake per grant, <= inputs per
-    // allocation iteration).
-    wake_outbox_[s].reserve(
-        inputs * static_cast<std::size_t>(config_.alloc_iterations) * 2 + 1);
-  }
-  // Initial injector plans: the cycle engine draws each endpoint's first
-  // Bernoulli at cycle 0, so planning starts there. Self-clocked replay
-  // draws no coins — instead, wake every router with an initially-eligible
-  // message at cycle 0 (pending_eligible then keeps it busy; blocked
-  // endpoints are woken later by apply_completions).
-  for (std::size_t s = 0; s < shards_; ++s) {
-    auto [lo, hi] = shard_ranges_[s];
-    for (int r = lo; r < hi; ++r) {
-      for (int j = 0; j < topo_.endpoints_at(r); ++j) {
-        const int e = topo_.first_endpoint(r) + j;
-        if (traffic_self_clocked_) {
-          if (traffic_.pending_eligible(e)) schedule_wake(s, r, 0);
-        } else {
-          plan_arrival_from(s, r, e, 0);
-        }
-      }
-    }
-  }
-}
-
-/* SF_HOT */ void Network::schedule_wake(std::size_t shard, int router, std::int64_t at) {
-  const std::int64_t event =
-      (at << 16) | static_cast<std::int64_t>(router & 0xffff);
-  const std::size_t owner = shard_of_router_[static_cast<std::size_t>(router)];
-  if (owner == shard) {
-    auto& heap = wake_heaps_[owner];
-    heap.push_back(event);  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
-    std::push_heap(heap.begin(), heap.end(), std::greater<std::int64_t>{});
-  } else {
-    wake_outbox_[shard].push_back(event);  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
-  }
-}
-
-/* SF_HOT */ void Network::drain_wake_outboxes() {
-  for (auto& box : wake_outbox_) {
-    for (std::int64_t event : box) {
-      auto& heap = wake_heaps_[shard_of_router_[static_cast<std::size_t>(
-          event & 0xffff)]];
-      heap.push_back(event);  // sf-lint: allow(hot-alloc) capacity reserved in init_active(); steady state never reallocates
-      std::push_heap(heap.begin(), heap.end(), std::greater<std::int64_t>{});
-    }
-    box.clear();
-  }
-}
-
-/* SF_HOT */ void Network::build_active_list(std::size_t shard) {
-  auto [lo, hi] = shard_ranges_[shard];
-  auto& woken = woken_[shard];
-  std::fill(woken.begin(), woken.end(), 0);
-  // Pop every event due at or before this cycle. Stale events (a busy
-  // router stepped at its wake cycle anyway) just re-activate a router —
-  // stepping a quiet router is a no-op, so duplicates are harmless.
-  auto& heap = wake_heaps_[shard];
-  const std::int64_t limit = (cycle_ + 1) << 16;
-  while (!heap.empty() && heap.front() < limit) {
-    const int local = static_cast<int>(heap.front() & 0xffff) - lo;
-    woken[static_cast<std::size_t>(local) / 64] |=
-        std::uint64_t{1} << (local % 64);
-    std::pop_heap(heap.begin(), heap.end(), std::greater<std::int64_t>{});
-    heap.pop_back();
-  }
-  auto& list = active_list_[shard];
-  list.clear();
-  const auto& busy = busy_[shard];
-  for (std::size_t w = 0; w < woken.size(); ++w) {
-    std::uint64_t mask = woken[w] | busy[w];
-    while (mask) {
-      const int local = static_cast<int>(w) * 64 + ctz64(mask);
-      mask &= mask - 1;
-      list.push_back(lo + local);  // ascending: same order as a full scan  // sf-lint: allow(hot-alloc) capacity reserved in init_active()
-    }
-  }
-}
-
-/* SF_HOT */ bool Network::router_is_busy(int r) const {
-  const RouterState& router = routers_[static_cast<std::size_t>(r)];
-  for (std::uint64_t w : router.staging_nonempty) {
-    if (w) return true;
-  }
-  for (std::uint64_t w : router.vc_occupied) {
-    if (w) return true;
-  }
-  for (int j = 0; j < topo_.endpoints_at(r); ++j) {
-    const int e = topo_.first_endpoint(r) + j;
-    if (!injector_.source_queue(e).empty()) return true;
-    // Self-clocked replay: an eligible pending send is work — the router
-    // must step so injection can pop it (the FIFO gate allows at most one
-    // pop per endpoint per cycle, so eligibility can outlive the queues).
-    if (traffic_self_clocked_ && traffic_.pending_eligible(e)) return true;
-  }
-  return false;
-}
-
-/* SF_HOT */ void Network::update_busy(std::size_t shard) {
-  const int lo = shard_ranges_[shard].first;
-  auto& busy = busy_[shard];
-  for (int r : active_list_[shard]) {
-    const int local = r - lo;
-    const std::uint64_t bit = std::uint64_t{1} << (local % 64);
-    if (router_is_busy(r)) {
-      busy[static_cast<std::size_t>(local) / 64] |= bit;
-    } else {
-      busy[static_cast<std::size_t>(local) / 64] &= ~bit;
-    }
-  }
-}
-
-/* SF_HOT */ void Network::active_phase_arrivals(std::size_t shard) {
-  build_active_list(shard);
-  for (int r : active_list_[shard]) arrivals_router(shard, r);
-}
-
-/* SF_HOT */ void Network::active_phase_injection(std::size_t shard) {
-  bool in_measurement = cycle_ >= config_.warmup_cycles &&
-                        cycle_ < config_.warmup_cycles + config_.measure_cycles;
-  for (int r : active_list_[shard]) {
-    active_injection_router(shard, r, in_measurement);
-  }
-}
-
-/* SF_HOT */ void Network::active_phase_allocation(std::size_t shard) {
-  for (int r : active_list_[shard]) allocate_router(shard, r);
-}
-
-/* SF_HOT */ void Network::active_phase_transmission(std::size_t shard) {
-  for (int r : active_list_[shard]) transmission_router(shard, r);
-  // Shard-local busy refresh: reads only state this shard's phases wrote
-  // (VC masks, staging counters, endpoint queues), so it needs no barrier.
-  update_busy(shard);
-}
-
-/* SF_HOT */ void Network::plan_arrival_from(std::size_t shard, int r, int e,
-                                std::int64_t from) {
-  auto ep = injector_.endpoint(e);  // reference bundle over the SoA columns
-  if (load_ <= 0.0) {
-    ep.next_arrival = kNeverArrives;
-    return;
-  }
-  // Batch the per-cycle Bernoulli draws the sleeping endpoint would have
-  // made — one draw per cycle, the exact cycle-engine sequence. Draws are
-  // capped at the run's absolute last cycle: past it neither engine can
-  // materialize a packet, so the leftover stream divergence is unobservable.
-  const std::int64_t last = config_.warmup_cycles + config_.measure_cycles +
-                            config_.drain_cycles;
-  std::int64_t t = from;
-  if (traffic_modulated_) {
-    // Modulated stream: query the multiplier cycle by cycle so OFF cycles
-    // consume no draw — the exact per-cycle sequence injection_router
-    // produces (rate_multiplier tolerates the monotone-with-gaps cycles
-    // this batch walks).
-    while (t < last && !modulated_hit(e, t, ep.rng)) ++t;
-  } else {
-    while (t < last && !ep.rng.bernoulli(load_)) ++t;
-  }
-  if (t >= last) {
-    ep.next_arrival = kNeverArrives;
-    return;
-  }
-  ep.next_arrival = t;
-  schedule_wake(shard, r, t);
-}
-
-/* SF_HOT */ void Network::active_injection_router(std::size_t shard, int r,
-                                      bool in_measurement) {
-  for (int j = 0; j < topo_.endpoints_at(r); ++j) {
-    int e = topo_.first_endpoint(r) + j;
-    auto ep = injector_.endpoint(e);  // reference bundle over the SoA columns
-    if (traffic_self_clocked_) {
-      // Replay consumes no load coins, so there is nothing to plan: pop
-      // the next eligible message exactly as the cycle engine would.
-      // pending_eligible keeps this router busy while sends remain
-      // eligible; apply_completions wakes it when a dependency delivers.
-      std::int64_t dep_stall = 0;
-      int dst = traffic_.next_send(e, cycle_, &dep_stall);
-      if (dst >= 0) generate_packet(shard, e, dst, in_measurement, dep_stall);
-    } else {
-      bool generate = false;
-      if (ep.next_arrival == kUnplannedArrival) {
-        // Backlog mode: the source queue is nonempty, so the router is busy
-        // and steps every cycle — draw live, exactly like the cycle engine.
-        generate = traffic_modulated_ ? modulated_hit(e, cycle_, ep.rng)
-                                      : ep.rng.bernoulli(load_);
-      } else if (cycle_ == ep.next_arrival) {
-        // Materialize the precomputed arrival. The Bernoulli draws through
-        // this cycle were consumed at plan time; the destination (and any
-        // routing) draws happen now, on the same cycle and in the same order
-        // the cycle engine makes them.
-        generate = true;
-        ep.next_arrival = kUnplannedArrival;
-      }
-      if (generate) {
-        int dst = traffic_.destination(e, ep.rng);
-        if (dst >= 0) generate_packet(shard, e, dst, in_measurement, 0);
-      }
-    }
-    // Uplink — identical to the cycle engine.
-    if (!ep.source_queue.empty() && ep.credits > 0) {
-      Packet pkt = ep.source_queue.pop_front();
-      --ep.credits;
-      pkt.t_injected = static_cast<std::int32_t>(cycle_);
-      routing_.route_at_injection(*this, pkt, ep.rng);
-      RouterState& router = routers_[static_cast<std::size_t>(r)];
-      int port = router.network_ports + j;
-      router.inputs[static_cast<std::size_t>(port)].vcs[0].push(pkt);
-      router.vc_occupied[static_cast<std::size_t>(port)] |= 1;
-    }
-    // Invariant: an empty queue always has a plan (or the never sentinel),
-    // so a sleeping endpoint's next arrival is a heap event, not a poll.
-    // Self-clocked replay plans nothing — eligibility keeps the router in
-    // the busy set instead (router_is_busy).
-    if (!traffic_self_clocked_ && ep.source_queue.empty() &&
-        ep.next_arrival == kUnplannedArrival) {
-      plan_arrival_from(shard, r, e, cycle_ + 1);
-    }
-  }
-}
-
-/* SF_HOT */ void Network::fast_forward(std::int64_t bound) {
-  if (!engine_active_) return;
-  for (const auto& words : busy_) {
-    for (std::uint64_t w : words) {
-      if (w) return;  // someone has work every cycle: no idle stretch
-    }
-  }
-  std::int64_t next = bound;
-  for (const auto& heap : wake_heaps_) {
-    if (!heap.empty()) next = std::min(next, heap.front() >> 16);
-  }
-  if (next > cycle_) cycle_ = next;
 }
 
 const Stats& Network::stats() const {
@@ -1201,22 +952,10 @@ void Network::reserve_measurement_stats() {
 }
 
 SimResult Network::run() {
-  // fast_forward runs at the top of each iteration (a no-op for the cycle
-  // engine): jumping before the bounds check keeps result.cycles identical
-  // between engines — a jump straight to the bound ends the loop exactly
-  // where the cycle engine's per-cycle stepping would have.
   std::int64_t horizon = config_.warmup_cycles + config_.measure_cycles;
-  while (cycle_ < horizon) {
-    fast_forward(horizon);
-    if (cycle_ >= horizon) break;
-    step();
-  }
+  while (cycle_ < horizon) step();
   std::int64_t drain_end = horizon + config_.drain_cycles;
-  while (!all_measured_delivered() && cycle_ < drain_end) {
-    fast_forward(drain_end);
-    if (cycle_ >= drain_end) break;
-    step();
-  }
+  while (!all_measured_delivered() && cycle_ < drain_end) step();
 
   const Stats& merged = stats();
   SimResult result;
@@ -1226,7 +965,6 @@ SimResult Network::run() {
   result.p99_latency = merged.percentile_latency(0.99);
   result.delivered = merged.total_delivered();
   result.cycles = cycle_;
-  result.cycles_stepped = cycles_stepped_;
   result.flit_hops = flit_hops();
   // Accepted throughput counts ejections *during* the measurement window
   // (Dally & Towles methodology); packets delivered later in the drain

@@ -27,7 +27,8 @@
 //                    own aggregated ejection line into its shard's Stats,
 //                    and drains its ep_credits event line.
 //                      writes: r's credits/inputs (incl. occupied_vcs
-//                              masks), shard stats, ep credits.
+//                              masks), shard stats, ep credits; clears r's
+//                              work-set bit once r is idle.
 //                      reads:  cycle_.
 //   2. injection     Per endpoint of r: Bernoulli generation and uplink
 //                    into r's injection buffer, drawing only from the
@@ -37,7 +38,8 @@
 //                    credit count mutates during this phase, so any
 //                    endpoint order sees identical snapshots.
 //                      writes: ep state, r's injection-port buffers, packet
-//                              ids/seq, shard measured_generated.
+//                              ids/seq, shard measured_generated, r's
+//                              work-set bit.
 //                      reads:  any router's outputs (frozen), cycle_.
 //   3. allocation    Both alloc_iterations for router r back-to-back: pops
 //                    r's input buffers, spends r's output credits and
@@ -56,7 +58,8 @@
 //                              masks, ejection-port staging rings, r's
 //                              ep_credits line, upstream credit_return
 //                              lines (sole producer), downstream incoming
-//                              lines (sole producer).
+//                              lines (sole producer), and the work-set bits
+//                              of the routers those lines belong to.
 //                      reads:  r's outputs, cycle_.
 //   4. transmission  Advances r's staging counters (one flit per output
 //                    per cycle; network packets already sit in the
@@ -70,57 +73,47 @@
 // self-clocked traffic — apply_completions(): deliveries recorded by each
 // shard during arrivals are fed back into the traffic pattern's dependency
 // state here, even when shards_ == 1, so a message delivered at cycle T
-// unlocks its dependents for injection at T+1 regardless of shard count or
-// stepping engine. Anything not listed as writable in a phase must not be
-// written there; widening a phase's write set requires re-auditing every
-// cross-shard read above.
+// unlocks its dependents for injection at T+1 regardless of shard count.
+// Anything not listed as writable in a phase must not be written there;
+// widening a phase's write set requires re-auditing every cross-shard read
+// above.
+//
+// ---- Work set --------------------------------------------------------------
+//
+// Arrivals, allocation and transmission visit only the routers in the work
+// set, a bitmask over router ids (work_). Injection visits every endpoint
+// every cycle: each one's Bernoulli coin is drawn in place, in endpoint
+// order, which is the RNG contract. A router is in the set while it holds
+// anything a phase could act on: an occupied VC, a staged flit, or an entry
+// on one of its event lines (incoming flits, credit_return, ejection,
+// ep_credits) — including entries dated in the future, so the router is
+// polled until they drain. A router pushing into its own lines is being
+// stepped, so it is already in the set; every other push (and the
+// injection uplink) sets the receiver's bit at the push site (mark_busy),
+// with a relaxed fetch_or whose result does not depend on the order of
+// concurrent pushes. Only the router's own arrivals clears the bit, once
+// it finds the router idle: arrivals is the one phase in which no router
+// pushes into another, so no mark can race with the clear. Stepping a router with nothing to do is a
+// no-op in every phase, so a router marked mid-phase may or may not be
+// visited in that phase without changing results: the set's content is the
+// same for every shard count, and so is the trajectory.
 //
 // ---- Workload layer --------------------------------------------------------
 //
 // TrafficPattern's workload hooks (traffic.hpp) plug in here:
 //   * rate modulation (burst:) — the injection phase asks the pattern for a
 //     per-endpoint multiplier each cycle; a zero multiplier consumes NO
-//     Bernoulli draw, which keeps the cycle engine (querying every cycle)
-//     and the active engine (querying inside plan_arrival_from's batched
-//     loop) bit-identical. The unmodulated path is byte-for-byte the
+//     Bernoulli draw. The unmodulated path is byte-for-byte the
 //     pre-workload code (the flag is cached at construction).
 //   * self-clocked replay (trace:/allreduce:) — injection pops eligible
 //     sends from the pattern instead of drawing coins; deliveries flow back
-//     through per-shard completion outboxes (drained serially, above), and
-//     the active engine treats an endpoint with an eligible head as busy
-//     and wakes the routers of endpoints a delivery unlocks.
+//     through per-shard completion outboxes (drained serially, above).
 //   * windowed stats (SimConfig::stats_window) — per-shard WindowStats rows
 //     (preallocated; merged by elementwise sums) giving the time-resolved
 //     generated/delivered/latency/dependency-stall view.
-//
-// ---- Stepping engines ------------------------------------------------------
-//
-// SimConfig::engine selects how the four phases are scheduled; results are
-// bit-identical either way (golden_test + engine_test enforce it):
-//
-//   cycle   Every router runs every phase every cycle (the loop above).
-//   active  Each shard keeps (a) a busy bitmask over its routers — busy iff
-//           any input VC is occupied, any staging counter is nonzero, or an
-//           attached endpoint's source queue is nonempty — and (b) a
-//           min-heap of future wake times fed by every event with a known
-//           maturity cycle: granted flits (downstream incoming-line ready),
-//           returning credits (upstream credit_return ready — keeps UGAL's
-//           remote queue_estimate reads exact on sleeping routers),
-//           ejection-line readies, endpoint uplink credits, and injector
-//           next-arrival cycles (precomputed: the Bernoulli draws a sleeping
-//           endpoint would have made are batched at plan time, the
-//           destination/routing draws stay at the materialize cycle, so
-//           every stream consumes values in exactly the cycle-engine
-//           order). A step() runs the phases only over busy|woken routers;
-//           run() fast-forwards cycle_ to the earliest heap entry when
-//           every shard is idle. step() itself always advances exactly one
-//           cycle, so step-level instrumentation sees identical state.
-//
-// Stepping a quiet router is always a no-op, so spurious wakes are safe;
-// only a *missed* wake could break equivalence — which is why every remote
-// push above doubles as a wake-event source under the active engine.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -155,9 +148,6 @@ class Network {
   SimResult run();
 
   std::int64_t cycle() const { return cycle_; }
-  /// Cycles whose phases actually executed; cycle() - cycles_stepped() is
-  /// the fast-forwarded count (always 0 for the cycle engine).
-  std::int64_t cycles_stepped() const { return cycles_stepped_; }
   /// Aggregated measurement view (per-shard accumulators merged on demand).
   const Stats& stats() const;
 
@@ -266,10 +256,12 @@ class Network {
   void phase_injection(std::size_t shard);
   void phase_allocation(std::size_t shard);
   void phase_transmission(std::size_t shard);
-  /// Per-router phase bodies shared by both stepping engines.
+  /// Per-router phase bodies.
   void arrivals_router(std::size_t shard, int r);
-  void transmission_router(std::size_t shard, int r);
-  void injection_router(std::size_t shard, int r, bool in_measurement);
+  void transmission_router(int r);
+  /// Injection's uplink step for endpoint e (source queue head into the
+  /// router's injection buffer).
+  void uplink(int e);
   /// One router's allocator (both internal-speedup iterations).
   void allocate_router(std::size_t shard, int r);
   void deliver(std::size_t shard, const Packet& pkt);
@@ -278,59 +270,40 @@ class Network {
 
   // ---- workload layer ----------------------------------------------------
   /// Creates one packet from endpoint e to dst at cycle_ — the single
-  /// generation body shared by both engines and both injection modes
-  /// (Bernoulli and self-clocked); `dep_stall` feeds the windowed
-  /// dependency-stall counters.
+  /// generation body shared by both injection modes (Bernoulli and
+  /// self-clocked); `dep_stall` feeds the windowed dependency-stall
+  /// counters.
   void generate_packet(std::size_t shard, int e, int dst, bool in_measurement,
                        std::int64_t dep_stall);
-  /// Injection decision for a rate-modulated pattern at the current cycle
-  /// (multiplier query + at most one Bernoulli draw; zero multiplier draws
-  /// nothing). Shared verbatim by the cycle loop, the active backlog draw,
-  /// and plan_arrival_from's batched draws.
-  /* SF_HOT */ bool modulated_hit(int e, std::int64_t t, Rng& rng) {
-    const double m = traffic_.rate_multiplier(e, t);
-    return m > 0.0 && rng.bernoulli(std::min(1.0, load_ * m));
-  }
   /// Drains the per-shard completion outboxes into the traffic pattern
-  /// (serially, between cycles) and wakes unlocked endpoints' routers.
+  /// (serially, between cycles).
   void apply_completions();
   /* SF_HOT */ std::size_t window_index(std::int64_t cycle, std::size_t count) const {
     const auto idx = static_cast<std::size_t>(cycle / stats_window_);
     return idx < count ? idx : count - 1;
   }
 
-  // ---- active engine (config_.engine == StepEngine::Active) -------------
-  void init_active();
-  /// Ensures `router` is stepped at cycle `at`. Own-shard events go
-  /// straight into the producing shard's heap (single writer during
-  /// phases); cross-shard events land in the producer's outbox, merged
-  /// serially by step() after the parallel region.
-  void schedule_wake(std::size_t shard, int router, std::int64_t at);
-  void drain_wake_outboxes();
-  /// Pops every due heap event and merges with the busy mask into the
-  /// shard's index-ordered active router list.
-  void build_active_list(std::size_t shard);
-  /// Recomputes busy bits for the routers this shard just stepped.
-  void update_busy(std::size_t shard);
-  bool router_is_busy(int r) const;
-  void active_phase_arrivals(std::size_t shard);
-  void active_phase_injection(std::size_t shard);
-  void active_phase_allocation(std::size_t shard);
-  void active_phase_transmission(std::size_t shard);
-  void active_injection_router(std::size_t shard, int r, bool in_measurement);
-  /// Batches the endpoint's Bernoulli draws for cycles >= `from` until the
-  /// first hit, records it in EndpointState::next_arrival, and schedules
-  /// the wake. Draws past the run's absolute end are capped (unobservable).
-  void plan_arrival_from(std::size_t shard, int r, int e, std::int64_t from);
-  /// When every shard is idle, jumps cycle_ to the earliest future wake
-  /// (clamped to `bound`). run()-only: step() always advances one cycle.
-  void fast_forward(std::int64_t bound);
+  // ---- work set (see "Work set" above) ----------------------------------
+  /// Adds router r to the work set. Safe from any shard in any phase.
+  /* SF_HOT */ void mark_busy(int r) {
+    std::atomic<std::uint64_t>& word = work_[static_cast<std::size_t>(r) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+    // The plain load skips the locked RMW when the bit is already set,
+    // which is the common case on a busy network.
+    if (!(word.load(std::memory_order_relaxed) & bit)) {
+      word.fetch_or(bit, std::memory_order_relaxed);
+    }
+  }
+  /// Calls body(r) for every router of `shard` in the work set, ascending.
+  template <typename Body>
+  void for_each_busy(std::size_t shard, Body body);
 
   const Topology& topo_;
   RoutingAlgorithm& routing_;
   TrafficPattern& traffic_;
   SimConfig config_;
   double load_;
+  std::uint32_t load_coin_;  ///< Rng::coin_threshold(load_)
 
   // Declared before every ring-holding member: LazyRing slabs release into
   // the pool at destruction, so the pool must be destroyed last.
@@ -385,6 +358,10 @@ class Network {
   std::size_t team_ = 1;
   std::function<int()> team_provider_;  ///< see set_team_provider()
   std::vector<std::pair<int, int>> shard_ranges_;
+  std::vector<std::pair<int, int>> shard_endpoints_;  ///< [first, last) ids
+  /// Endpoints of the shard left with a non-empty source queue by the last
+  /// injection phase (see phase_injection).
+  std::vector<int> shard_backlog_;
   std::vector<ShardTotals> shard_totals_;
   std::vector<std::exception_ptr> shard_errors_;
   std::unique_ptr<ThreadPool> pool_;   ///< team_-1 dedicated workers
@@ -415,22 +392,10 @@ class Network {
   };
   std::vector<AllocScratch> alloc_scratch_;  // [shard]
 
-  // ---- active-engine state (sized once by init_active; the steady-state
-  // loop pushes/pops within the reserved capacities and never allocates) --
-  bool engine_active_ = false;
-  std::int64_t cycles_stepped_ = 0;
-  std::vector<std::uint16_t> shard_of_router_;
-  /// Per-shard min-heap (std::push_heap/pop_heap with std::greater) of
-  /// packed (cycle << 16) | router events. Router ids fit 16 bits (the
-  /// constructor enforces <= 65536 routers), cycles fit 31 (ditto).
-  std::vector<std::vector<std::int64_t>> wake_heaps_;
-  /// Cross-shard wake events, indexed by the *producing* shard.
-  std::vector<std::vector<std::int64_t>> wake_outbox_;
-  /// Busy/woken bitmasks over shard-LOCAL router indices (local indexing
-  /// keeps shard-boundary routers out of shared words).
-  std::vector<std::vector<std::uint64_t>> busy_;
-  std::vector<std::vector<std::uint64_t>> woken_;
-  std::vector<std::vector<int>> active_list_;  // [shard] global router ids
+  /// The work set: bit r % 64 of word r / 64 is set while router r has
+  /// work. Sized once at wire(); shard-boundary words are shared, hence
+  /// atomic (relaxed: the phase barriers order everything else).
+  std::vector<std::atomic<std::uint64_t>> work_;
 
   // ---- workload-layer state (sized once at construction; the steady-state
   // loop stays allocation-free) -------------------------------------------
@@ -441,9 +406,6 @@ class Network {
   /// by deliver() during arrivals (shard-owned), drained serially by
   /// apply_completions(). Reserved to the shard's ejection-line capacity.
   std::vector<std::vector<std::int64_t>> completion_outbox_;
-  /// Scratch for TrafficPattern::on_delivered, reserved to
-  /// completion_fanout(). Touched only in the serial completion pass.
-  std::vector<int> unlocked_scratch_;
 
   /// Head-of-line decision for `pkt` at router r: the output port
   /// (network or ejection) and the VC on the outgoing link. Inlines the

@@ -10,8 +10,8 @@
 // memory layout"):
 //   * timestamps are 32-bit cycle counts — Network rejects configs whose
 //     horizon could exceed them;
-//   * router ids are uint16 (an O(n^2)-distance-table simulation of more
-//     than 65k routers is already infeasible);
+//   * router ids are uint16 — the Network constructor rejects topologies
+//     of more than 65536 routers;
 //   * the source router is not stored: it is derivable from src_endpoint
 //     (Topology::endpoint_router), and injection-time routing does so.
 

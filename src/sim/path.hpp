@@ -12,8 +12,8 @@
 // VAL on torus:dims=4x4x4 = 12 hops). Longer walks — Valiant on a
 // diameter > 7 torus/hypercube — throw PathOverflowError at route time: a
 // named, actionable error rather than silent heap fallback. Router ids
-// are bounded by the uint16 storage (a >65535-router cycle simulation is
-// already excluded by the O(n^2) distance table). The capacity is kept
+// are bounded by the uint16 storage; the Network constructor rejects
+// topologies of more than 65536 routers for that reason. The capacity is kept
 // tight deliberately: it is what makes Packet exactly one cache line, and
 // Packet size is the dominant term in the hot path's memory traffic
 // (every hop copies the packet a handful of times).

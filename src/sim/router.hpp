@@ -80,9 +80,9 @@ struct OutputPort {
 
 struct InputPort {
   /// Per-VC buffers — a full num_vcs span for network inputs, a single-VC
-  /// span for injection inputs (endpoint uplinks only ever enter on VC 0,
-  /// in both engines; paying num_vcs worst-case slabs per endpoint was
-  /// pure capacity slack).
+  /// span for injection inputs (endpoint uplinks only ever enter on VC 0;
+  /// paying num_vcs worst-case slabs per endpoint was pure capacity
+  /// slack).
   Span<VcBuffer> vcs;
   /// Flits on (or staged for) the network link ending here. Filled by the
   /// upstream router's allocation phase (its sole producer) at grant time
@@ -116,6 +116,9 @@ struct RouterState {
   Span<InputPort> inputs;    ///< [0,deg) network + [deg, deg+p) injection
   Span<OutputPort> outputs;  ///< [0,deg) network + [deg, deg+p) ejection
   int network_ports = 0;     ///< router degree in the graph
+  /// Packets in this router's input VC buffers (all ports): lets the work
+  /// set's allocation and idle checks skip the per-port masks when zero.
+  int buffered = 0;
 
   /// vc_occupied[ip] bit vc set <=> inputs[ip].vcs[vc] is non-empty
   /// (bounds SimConfig::num_vcs to 64). Lets the allocation gather visit

@@ -238,10 +238,4 @@ std::vector<SweepPoint> load_sweep(
   return points;
 }
 
-std::vector<double> default_loads(double step, double max) {
-  std::vector<double> loads;
-  for (double l = step; l <= max + 1e-9; l += step) loads.push_back(l);
-  return loads;
-}
-
 }  // namespace slimfly::sim

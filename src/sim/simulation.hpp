@@ -103,7 +103,4 @@ std::vector<SweepPoint> load_sweep(
     SimConfig config, const std::vector<double>& loads,
     bool stop_at_saturation = true);
 
-/// Standard load grid 0.05 .. 0.95 in steps of `step`.
-std::vector<double> default_loads(double step = 0.1, double max = 0.95);
-
 }  // namespace slimfly::sim

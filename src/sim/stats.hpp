@@ -89,11 +89,6 @@ struct SimResult {
   /// Cycles actually simulated (warmup + measurement + drain used) — the
   /// deterministic numerator of the per-point throughput trajectory.
   std::int64_t cycles = 0;
-  /// Cycles the stepping engine actually executed (phases run). For the
-  /// cycle engine this equals `cycles`; the active engine fast-forwards
-  /// globally-idle stretches, so `cycles - cycles_stepped` is the audited
-  /// skipped-cycle count (bench/hotpath prints both).
-  std::int64_t cycles_stepped = 0;
   /// Crossbar traversals granted over the whole run (one per packet per
   /// router hop); flit_hops / wall time is the hot path's work rate.
   std::int64_t flit_hops = 0;

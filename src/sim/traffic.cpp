@@ -295,8 +295,7 @@ constexpr std::uint64_t kHotspotStreamTag = 0x3fa8d17b;
 /// of its current segment and rolls forward while t passes it, drawing each
 /// segment length as a uniform integer in [1, 2·mean−1] from the endpoint's
 /// own burst stream. Draw consumption therefore depends only on the largest
-/// t queried — which is what keeps the cycle engine (querying every cycle)
-/// and the active engine (querying with gaps while planning) bit-identical.
+/// t queried.
 class BurstTraffic final : public TrafficPattern {
  public:
   BurstTraffic(std::unique_ptr<TrafficPattern> base, int n, std::int64_t on,

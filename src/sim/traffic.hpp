@@ -49,11 +49,8 @@ class TrafficPattern {
   virtual bool modulates_rate() const { return false; }
   /// Rate multiplier for endpoint e at cycle t. A multiplier of exactly 0
   /// means hard-off: the engine consumes NO Bernoulli draw from e's stream
-  /// that cycle (this is what keeps the cycle and active engines' draw
-  /// sequences identical). Called with nondecreasing t per endpoint — the
-  /// pattern may advance internal per-endpoint state, and must tolerate
-  /// gaps in t (the active engine never queries cycles it fast-forwards,
-  /// and plans batches of future cycles ahead of time).
+  /// that cycle. Called once per cycle per endpoint, with increasing t —
+  /// the pattern may advance internal per-endpoint state.
   virtual double rate_multiplier(int src_endpoint, std::int64_t t) {
     (void)src_endpoint;
     (void)t;
@@ -77,27 +74,14 @@ class TrafficPattern {
     (void)dep_stall;
     return -1;
   }
-  /// Self-clocked only: endpoint e has an eligible head right now. Keeps
-  /// e's router in the active engine's busy set.
-  virtual bool pending_eligible(int src_endpoint) const {
-    (void)src_endpoint;
-    return false;
-  }
   /// Self-clocked only: called serially between cycles when the packet
   /// carrying message `seq` of endpoint `src` is ejected at `cycle`.
-  /// Appends every endpoint whose blocked head just became eligible to
-  /// `unlocked` (the active engine wakes their routers). Never allocates
-  /// beyond `unlocked`'s reserved capacity of completion_fanout().
-  virtual void on_delivered(int src, std::int64_t seq, std::int64_t cycle,
-                            std::vector<int>& unlocked) {
+  /// Never allocates.
+  virtual void on_delivered(int src, std::int64_t seq, std::int64_t cycle) {
     (void)src;
     (void)seq;
     (void)cycle;
-    (void)unlocked;
   }
-  /// Upper bound on entries a single on_delivered call can append — the
-  /// engine reserves its unlock scratch to this before stepping starts.
-  virtual std::size_t completion_fanout() const { return 0; }
 };
 
 /// Every endpoint sends to a uniformly random other endpoint.

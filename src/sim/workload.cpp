@@ -119,7 +119,7 @@ void check_acyclic(const std::string& where, const WorkloadTrace& trace,
 /// message is eligible once its `after:` dependency has been delivered and
 /// its FIFO predecessor has been sent; eligibility flips only in the serial
 /// between-cycles completion pass (Network::apply_completions), so the
-/// replay schedule is identical for every shard count and stepping engine.
+/// replay schedule is identical for every shard count.
 /// All state is preallocated at construction — the hot path never allocates.
 class DependencyReplay final : public TrafficPattern {
  public:
@@ -129,8 +129,7 @@ class DependencyReplay final : public TrafficPattern {
         msgs_(static_cast<std::size_t>(num_endpoints)),
         cursor_(static_cast<std::size_t>(num_endpoints), 0),
         head_ready_(static_cast<std::size_t>(num_endpoints), 0),
-        delivered_at_(static_cast<std::size_t>(num_endpoints)),
-        dependents_(static_cast<std::size_t>(num_endpoints)) {
+        delivered_at_(static_cast<std::size_t>(num_endpoints)) {
     const std::string where = "traffic \"" + name_ + "\"";
     for (const auto& [endpoint, list] : trace.endpoints) {
       if (endpoint < 0 || endpoint >= num_endpoints) {
@@ -141,7 +140,6 @@ class DependencyReplay final : public TrafficPattern {
       const auto e = static_cast<std::size_t>(endpoint);
       msgs_[e] = list;
       delivered_at_[e].assign(list.size(), -1);
-      dependents_[e].resize(list.size());
       for (std::size_t i = 0; i < list.size(); ++i) {
         if (list[i].dst < 0 || list[i].dst >= num_endpoints) {
           fail(where,
@@ -149,16 +147,6 @@ class DependencyReplay final : public TrafficPattern {
                    " destination " + std::to_string(list[i].dst) +
                    " out of range (topology has " +
                    std::to_string(num_endpoints) + " endpoints)");
-        }
-      }
-    }
-    for (const auto& [endpoint, list] : trace.endpoints) {
-      for (const auto& m : list) {
-        if (m.dep_src >= 0) {
-          auto& deps = dependents_[static_cast<std::size_t>(m.dep_src)]
-                                  [static_cast<std::size_t>(m.dep_idx)];
-          deps.push_back(endpoint);
-          fanout_ = std::max(fanout_, deps.size());
         }
       }
     }
@@ -177,13 +165,6 @@ class DependencyReplay final : public TrafficPattern {
   }
 
   bool self_clocked() const override { return true; }
-
-  bool pending_eligible(int src) const override {
-    const auto e = static_cast<std::size_t>(src);
-    const auto c = static_cast<std::size_t>(cursor_[e]);
-    if (c >= msgs_[e].size()) return false;
-    return dep_satisfied(msgs_[e][c]);
-  }
 
   /* SF_HOT */ int next_send(int src, std::int64_t cycle,
                 std::int64_t* dep_stall) override {
@@ -205,26 +186,15 @@ class DependencyReplay final : public TrafficPattern {
     return m.dst;
   }
 
-  /* SF_HOT */ void on_delivered(int src, std::int64_t seq, std::int64_t cycle,
-                    std::vector<int>& unlocked) override {
+  /* SF_HOT */ void on_delivered(int src, std::int64_t seq,
+                                std::int64_t cycle) override {
     const auto e = static_cast<std::size_t>(src);
     if (e >= msgs_.size() || seq < 0 ||
         static_cast<std::size_t>(seq) >= msgs_[e].size()) {
       return;
     }
     delivered_at_[e][static_cast<std::size_t>(seq)] = cycle;
-    for (int dep : dependents_[e][static_cast<std::size_t>(seq)]) {
-      const auto d = static_cast<std::size_t>(dep);
-      const auto c = static_cast<std::size_t>(cursor_[d]);
-      if (c >= msgs_[d].size()) continue;
-      const TraceMessage& head = msgs_[d][c];
-      if (head.dep_src == src && head.dep_idx == seq) {
-        unlocked.push_back(dep);  // head was blocked on exactly this message  // sf-lint: allow(hot-alloc) caller's scratch, reserved to completion_fanout() in wire()
-      }
-    }
   }
-
-  std::size_t completion_fanout() const override { return fanout_; }
 
  private:
   bool dep_satisfied(const TraceMessage& m) const {
@@ -238,8 +208,6 @@ class DependencyReplay final : public TrafficPattern {
   std::vector<std::int64_t> cursor_;      ///< next message index per endpoint
   std::vector<std::int64_t> head_ready_;  ///< cycle the head became FIFO-ready
   std::vector<std::vector<std::int64_t>> delivered_at_;  ///< −1 = in flight
-  std::vector<std::vector<std::vector<int>>> dependents_;
-  std::size_t fanout_ = 0;
 };
 
 int log2_exact(int v) {

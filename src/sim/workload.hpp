@@ -6,7 +6,7 @@
 // collective generator (`allreduce:ranks=,algo=`). The replay pattern is a
 // TrafficPattern using the self-clocked hooks (traffic.hpp); the Network
 // feeds ejections back through on_delivered between cycles, which makes the
-// replay schedule independent of shard count and stepping engine.
+// replay schedule independent of shard count.
 //
 // Trace file format (parsed with src/exp/json, so the usual named-error and
 // depth-cap behaviour applies):

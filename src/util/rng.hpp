@@ -7,6 +7,7 @@
 // and produces an identical stream everywhere, which keeps simulation
 // results and tests deterministic.
 
+#include <cmath>
 #include <cstdint>
 
 // Compiler-level backstop for the scripts/sf_lint.py `rng` rule (see
@@ -80,6 +81,19 @@ class Rng {
 
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) { return next_double() < p; }
+
+  /// bernoulli(p) for a p fixed in advance, compared on the integer draw:
+  /// with threshold = coin_threshold(p) it consumes the same draw and
+  /// returns the same outcome, because next_double() is exactly
+  /// (next_u32() >> 8) / 2^24.
+  bool coin(std::uint32_t threshold) { return (next_u32() >> 8) < threshold; }
+
+  /// The number of 24-bit draws x with x / 2^24 < p (see coin()).
+  static std::uint32_t coin_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return 1u << 24;
+    return static_cast<std::uint32_t>(std::ceil(p * 16777216.0));
+  }
 
   // Interface required by std::shuffle and friends.
   using result_type = std::uint32_t;

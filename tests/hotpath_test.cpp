@@ -56,16 +56,12 @@ SimConfig guard_config() {
 // Steps `settle` cycles (allocations allowed: source rings grow on first
 // use), then asserts the next `measured` cycles allocate nothing. The
 // window straddles warmup -> measurement, covering every phase plus stats
-// recording. Both stepping engines must hold the guarantee: the active
-// engine's wake heaps, outboxes and active lists are sized at wire() for
-// their worst case, so steady-state scheduling never grows them.
-void expect_allocation_free_steady_state(RoutingKind kind, double load,
-                                         StepEngine engine) {
+// recording.
+void expect_allocation_free_steady_state(RoutingKind kind, double load) {
   sf::SlimFlyMMS topo(5);
   auto routing = make_routing(kind, topo);
   auto traffic = make_uniform(topo.num_endpoints());
   SimConfig cfg = guard_config();
-  cfg.engine = engine;
   Network net(topo, *routing.algorithm, *traffic, cfg, load);
   net.reserve_measurement_stats();
   for (int i = 0; i < 300; ++i) net.step();
@@ -73,23 +69,17 @@ void expect_allocation_free_steady_state(RoutingKind kind, double load,
   for (int i = 0; i < 200; ++i) net.step();
   const long long during =
       g_allocations.load(std::memory_order_relaxed) - before;
-  EXPECT_EQ(during, 0) << to_string(kind) << " engine=" << to_string(engine)
+  EXPECT_EQ(during, 0) << to_string(kind)
                        << ": steady-state stepping must not allocate";
   EXPECT_GT(net.flit_hops(), 0);  // the guard window did real work
 }
 
 TEST(HotPathAllocationGuard, MinimalRoutingSteadyStateIsAllocationFree) {
-  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.3,
-                                      StepEngine::Cycle);
-  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.3,
-                                      StepEngine::Active);
+  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.3);
 }
 
 TEST(HotPathAllocationGuard, UgalSteadyStateIsAllocationFree) {
-  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.3,
-                                      StepEngine::Cycle);
-  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.3,
-                                      StepEngine::Active);
+  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.3);
 }
 
 TEST(HotPathAllocationGuard, DeepQueueHighLoadIsAllocationFree) {
@@ -100,10 +90,7 @@ TEST(HotPathAllocationGuard, DeepQueueHighLoadIsAllocationFree) {
   // guard window churns the deepest queues the flow control admits at a
   // stable operating point. Growth past the settle phase must come from
   // the SlabPool's preloaded float, never the allocator.
-  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.7,
-                                      StepEngine::Cycle);
-  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.7,
-                                      StepEngine::Active);
+  expect_allocation_free_steady_state(RoutingKind::UgalL, 0.7);
 }
 
 TEST(HotPathAllocationGuard, LazyRingGrowthIsPoolServed) {
@@ -128,12 +115,10 @@ TEST(HotPathAllocationGuard, LazyRingGrowthIsPoolServed) {
   EXPECT_EQ(ring.physical_capacity(), 2048u);
 }
 
-TEST(HotPathAllocationGuard, ActiveEngineLowLoadIsAllocationFree) {
-  // Low load is the active engine's hot regime: routers sleep, injector
-  // arrivals are batch-planned, and the wake heaps churn constantly — all
-  // of it must run out of the capacity reserved at construction.
-  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.05,
-                                      StepEngine::Active);
+TEST(HotPathAllocationGuard, LowLoadIsAllocationFree) {
+  // Low load churns the work set: routers leave it between packets and
+  // re-enter it on the next push — all within the bitmask sized at wire().
+  expect_allocation_free_steady_state(RoutingKind::Minimal, 0.05);
 }
 
 // Workload-layer variant of the guard: a traffic spec string instead of a
@@ -141,12 +126,11 @@ TEST(HotPathAllocationGuard, ActiveEngineLowLoadIsAllocationFree) {
 // replay (allreduce) run under the counting allocator. Windowed stats are
 // enabled too — the rows are preallocated at construction.
 void expect_workload_allocation_free(const std::string& traffic_spec,
-                                     double load, StepEngine engine) {
+                                     double load) {
   sf::SlimFlyMMS topo(5);
   auto routing = make_routing(RoutingKind::Minimal, topo);
   auto traffic = make_traffic(traffic_spec, topo);
   SimConfig cfg = guard_config();
-  cfg.engine = engine;
   cfg.stats_window = 50;
   Network net(topo, *routing.algorithm, *traffic, cfg, load);
   net.reserve_measurement_stats();
@@ -154,47 +138,34 @@ void expect_workload_allocation_free(const std::string& traffic_spec,
   const long long before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 200; ++i) net.step();
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
-      << traffic_spec << " engine=" << to_string(engine)
-      << ": steady-state stepping must not allocate";
+      << traffic_spec << ": steady-state stepping must not allocate";
 }
 
 TEST(HotPathAllocationGuard, BurstModulationIsAllocationFree) {
-  // ON/OFF modulation exercises per-endpoint segment state in the cycle
-  // engine and the modulated batch planner in the active engine.
+  // ON/OFF modulation exercises the per-endpoint segment state.
   expect_workload_allocation_free("burst:on=50,off=150,mult=4,base=uniform",
-                                  0.3, StepEngine::Cycle);
-  expect_workload_allocation_free("burst:on=50,off=150,mult=4,base=uniform",
-                                  0.3, StepEngine::Active);
+                                  0.3);
 }
 
 TEST(HotPathAllocationGuard, DependencyReplayIsAllocationFree) {
-  // Self-clocked replay: completion outboxes, the unlock scratch and the
-  // wake heap budget must all run out of their construction-time reserves.
-  // 128 ring ranks give 2*127*128 = 32512 messages — the replay spans the
-  // whole 500-step guard window.
-  expect_workload_allocation_free("allreduce:ranks=128,algo=ring", 0.3,
-                                  StepEngine::Cycle);
-  expect_workload_allocation_free("allreduce:ranks=128,algo=ring", 0.3,
-                                  StepEngine::Active);
+  // Self-clocked replay: the completion outboxes must run out of their
+  // construction-time reserves. 128 ring ranks give 2*127*128 = 32512
+  // messages — the replay spans the whole 500-step guard window.
+  expect_workload_allocation_free("allreduce:ranks=128,algo=ring", 0.3);
 }
 
 TEST(HotPathAllocationGuard, FatTreeGatherPathIsAllocationFree) {
   // FT-ANCA takes the non-cacheable allocator path (per-iteration
   // re-derivation), which must be just as allocation-free.
-  for (StepEngine engine : {StepEngine::Cycle, StepEngine::Active}) {
-    FatTree3 topo(4);
-    auto routing = make_routing(RoutingKind::FatTreeAnca, topo);
-    auto traffic = make_uniform(topo.num_endpoints());
-    SimConfig cfg = guard_config();
-    cfg.engine = engine;
-    Network net(topo, *routing.algorithm, *traffic, cfg, 0.3);
-    net.reserve_measurement_stats();
-    for (int i = 0; i < 300; ++i) net.step();
-    const long long before = g_allocations.load(std::memory_order_relaxed);
-    for (int i = 0; i < 200; ++i) net.step();
-    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0)
-        << "engine=" << to_string(engine);
-  }
+  FatTree3 topo(4);
+  auto routing = make_routing(RoutingKind::FatTreeAnca, topo);
+  auto traffic = make_uniform(topo.num_endpoints());
+  Network net(topo, *routing.algorithm, *traffic, guard_config(), 0.3);
+  net.reserve_measurement_stats();
+  for (int i = 0; i < 300; ++i) net.step();
+  const long long before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 200; ++i) net.step();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0);
 }
 
 TEST(HotPathStorage, BitIdenticalAcrossThreadMatrix) {
@@ -208,15 +179,11 @@ TEST(HotPathStorage, BitIdenticalAcrossThreadMatrix) {
   const std::string want = exp::golden_trajectory(spec, reference.run(spec));
   for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
     for (int intra : {1, 2}) {
-      for (StepEngine step_engine : {StepEngine::Cycle, StepEngine::Active}) {
-        exp::ExperimentSpec run = spec;
-        run.config.intra_threads = intra;
-        run.config.engine = step_engine;
-        exp::ExperimentEngine engine(threads);
-        EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
-            << "threads=" << threads << " intra=" << intra
-            << " engine=" << to_string(step_engine);
-      }
+      exp::ExperimentSpec run = spec;
+      run.config.intra_threads = intra;
+      exp::ExperimentEngine engine(threads);
+      EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
+          << "threads=" << threads << " intra=" << intra;
     }
   }
 }

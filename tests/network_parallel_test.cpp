@@ -126,6 +126,50 @@ TEST(NetworkParallel, StepLevelStateMatchesSequential) {
   }
 }
 
+TEST(NetworkParallel, SparseCellsMatchPinnedResultsAcrossIntraThreadCounts) {
+  // Near-idle networks: most routers leave the work set between packets
+  // and re-enter it when a neighbour pushes a flit or a credit at them. A
+  // mark lost on a router of another shard would stall that flit (any
+  // routing) or leave a stale credit count that UGAL's queue estimate
+  // reads, and change these numbers. The expectations are the full
+  // SimResults of the stepping loop that visited every router every cycle,
+  // so they pin the work set to it exactly.
+  struct Pinned {
+    const char* topo;
+    RoutingKind routing;
+    double accepted, latency, p99;
+    std::int64_t delivered, cycles, flit_hops;
+  };
+  const Pinned cells[] = {
+      {"slimfly:q=5", RoutingKind::Minimal, 0x1.5a858793dd97fp-8,
+       0x1.106b057901d3p+3, 9.0, 622, 609, 1782},
+      {"torus:dims=4x4", RoutingKind::Minimal, 0x1.ae147ae147ae1p-8,
+       0x1.2924924924925p+3, 12.0, 64, 600, 199},
+      {"slimfly:q=5", RoutingKind::UgalL, 0x1.5cfaacd9e83e4p-8,
+       0x1.126c9b26c9b27p+3, 12.0, 632, 609, 1808},
+  };
+  for (const Pinned& want : cells) {
+    auto topo = topo::make(want.topo);
+    for (int intra : {1, 2, 4}) {
+      const std::string what = std::string(want.topo) + " " +
+                               to_string(want.routing) +
+                               " intra=" + std::to_string(intra);
+      SimResult got = run_point(*topo, want.routing, 0.005, intra);
+      EXPECT_EQ(got.offered_load, 0.005) << what;
+      EXPECT_EQ(got.accepted_load, want.accepted) << what;
+      EXPECT_EQ(got.avg_latency, want.latency) << what;
+      EXPECT_EQ(got.avg_network_latency, want.latency) << what;
+      EXPECT_EQ(got.p99_latency, want.p99) << what;
+      EXPECT_FALSE(got.saturated) << what;
+      EXPECT_EQ(got.delivered, want.delivered) << what;
+      EXPECT_EQ(got.cycles, want.cycles) << what;
+      EXPECT_EQ(got.flit_hops, want.flit_hops) << what;
+      EXPECT_EQ(got.stats_window, 0) << what;
+      EXPECT_TRUE(got.windows.empty()) << what;
+    }
+  }
+}
+
 TEST(NetworkParallel, IntraThreadsResolution) {
   sf::SlimFlyMMS sf(5);  // 50 routers
   auto bundle = make_routing(RoutingKind::Minimal, sf);

@@ -11,6 +11,24 @@
 namespace slimfly::sim {
 namespace {
 
+TEST(Coin, SameDrawsAndOutcomesAsBernoulli) {
+  // Exact multiples of 2^-24 are the boundary cases of the integer compare.
+  for (double p : {0.0, -0.5, 1.0 / 16777216.0, 3.0 / 16777216.0, 0.002, 0.1,
+                   0.5, 0.999999, 1.0, 1.5}) {
+    Rng a(42, 7);
+    Rng b(42, 7);
+    const std::uint32_t threshold = Rng::coin_threshold(p);
+    for (int i = 0; i < 200000; ++i) {
+      ASSERT_EQ(a.bernoulli(p), b.coin(threshold)) << "p=" << p << " i=" << i;
+    }
+    EXPECT_EQ(a.next_u32(), b.next_u32()) << "p=" << p;
+  }
+  // x / 2^24 < k / 2^24 holds for exactly k draws x.
+  EXPECT_EQ(Rng::coin_threshold(3.0 / 16777216.0), 3u);
+  EXPECT_EQ(Rng::coin_threshold(0.5), 1u << 23);
+  EXPECT_EQ(Rng::coin_threshold(0.5 + 0.25 / 16777216.0), (1u << 23) + 1);
+}
+
 TEST(Uniform, NeverSelf) {
   auto t = make_uniform(16);
   Rng rng(1);

@@ -7,17 +7,12 @@
 // tree). The paper reports that 1K-10K networks agree within 10%
 // (Section V), so the small scale preserves every qualitative conclusion.
 //
-// Figure sweeps are declarative: bench binaries build an
-// exp::ExperimentSpec (registry strings for every axis) and hand it to the
-// ExperimentEngine, which runs all points in parallel (SF_THREADS workers,
-// 0/unset = all cores) and drops BENCH_<tag>.json next to the binary's cwd.
+// The paper's latency-vs-load grids (Figures 6 and 8, the ablations) are
+// suite files under examples/suites/, run by `sweep --config`;
+// run_experiment below runs them.
 
 #include <cstdlib>
-#include <functional>
 #include <iostream>
-#include <memory>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,31 +45,6 @@ inline std::vector<std::string> eval_trio_specs() {
   return {"slimfly:q=7",                  // N=588,  k=17
           "dragonfly:p=4,a=8,h=4,g=33",   // N=1056, k=15
           "fattree:k=8"};                 // N=512,  k=16
-}
-
-/// The trio as typed topology objects, for benches that need member access
-/// (buffer studies, cost model). Thin wrapper over the topology registry.
-struct EvalTrio {
-  std::unique_ptr<sf::SlimFlyMMS> sf;
-  std::unique_ptr<Dragonfly> df;
-  std::unique_ptr<FatTree3> ft;
-};
-
-template <class T>
-std::unique_ptr<T> topo_cast(std::unique_ptr<Topology> topo) {
-  auto* typed = dynamic_cast<T*>(topo.get());
-  if (!typed) throw std::logic_error("eval trio spec built unexpected type");
-  topo.release();
-  return std::unique_ptr<T>(typed);
-}
-
-inline EvalTrio make_eval_trio() {
-  auto specs = eval_trio_specs();
-  EvalTrio trio;
-  trio.sf = topo_cast<sf::SlimFlyMMS>(topo::make(specs[0]));
-  trio.df = topo_cast<Dragonfly>(topo::make(specs[1]));
-  trio.ft = topo_cast<FatTree3>(topo::make(specs[2]));
-  return trio;
 }
 
 inline sim::SimConfig make_sim_config() {
@@ -119,26 +89,17 @@ inline void print_host_shape(const exp::ExperimentEngine& engine,
   const auto sched = engine.schedule(n_points, requested_intra);
   std::cout << "[host] hardware_concurrency="
             << std::thread::hardware_concurrency() << " engine_threads="
-            << engine.threads() << " scheduler="
-            << exp::to_string(engine.scheduler()) << " across=" << sched.first
-            << " intra=" << sched.second
-            << (engine.scheduler() == exp::SchedulerMode::Stealing
-                    ? " (stealing: intra grows as points drain)"
-                    : "")
-            << "\n"
+            << engine.threads() << " across=" << sched.first
+            << " intra=" << sched.second << " (intra grows as points drain)\n"
             << std::flush;
 }
 
 /// Runs a spec on the engine, prints the table + CSV, writes
 /// BENCH_<spec.name>.json, and reports points/threads/wall time.
-/// `threads` 0 defers to SF_THREADS / hardware (the engine's own policy);
-/// `scheduler` unset defers to SF_SCHEDULER (static when that is unset).
-inline void run_experiment(
-    const exp::ExperimentSpec& spec, const std::string& title,
-    std::size_t threads = 0,
-    std::optional<exp::SchedulerMode> scheduler = std::nullopt) {
+/// `threads` 0 defers to SF_THREADS / hardware (the engine's own policy).
+inline void run_experiment(const exp::ExperimentSpec& spec,
+                           const std::string& title, std::size_t threads = 0) {
   exp::ExperimentEngine engine(threads);
-  if (scheduler) engine.set_scheduler(*scheduler);
   print_host_shape(engine, spec.series.size() * spec.loads.size(),
                    spec.config.intra_threads);
   Timer timer;
@@ -165,54 +126,6 @@ inline void run_experiment(
             << "s" << (json.empty() ? "" : ", wrote " + json)
             << (csv.empty() ? "" : " + " + csv) << "\n"
             << std::flush;
-}
-
-/// Runs one routing curve of a latency-vs-load figure and appends rows.
-/// (Sequential compatibility path for benches that sweep hand-built
-/// objects; the load sweep itself goes through the engine.)
-inline void sweep_into_table(
-    Table& table, const std::string& series, const Topology& topo,
-    sim::RoutingAlgorithm& routing,
-    const std::function<std::unique_ptr<sim::TrafficPattern>()>& traffic,
-    const sim::SimConfig& cfg, const std::vector<double>& loads = {}) {
-  auto points = sim::load_sweep(topo, routing, traffic, cfg,
-                                loads.empty() ? bench_loads() : loads, true);
-  for (const auto& pt : points) {
-    table.add_row({series, Table::num(pt.load, 2),
-                   Table::num(pt.result.avg_latency, 1),
-                   Table::num(pt.result.avg_network_latency, 1),
-                   Table::num(pt.result.accepted_load, 3),
-                   pt.result.saturated ? "yes" : "no"});
-  }
-}
-
-inline Table latency_table() {
-  return Table({"series", "offered", "latency", "net_latency", "accepted", "saturated"});
-}
-
-/// The Figure 6 comparison as data: SF under MIN/VAL/UGAL-L/UGAL-G, DF
-/// under DF-UGAL-L, FT under ANCA, one traffic registry name shared by all
-/// (the worst-case figure passes "worstcase", which resolves to each
-/// topology's own adversarial pattern).
-inline exp::ExperimentSpec fig6_spec(const std::string& tag,
-                                     const std::string& traffic) {
-  auto topos = eval_trio_specs();
-  exp::ExperimentSpec spec;
-  spec.name = tag;
-  spec.loads = bench_loads();
-  spec.config = make_sim_config();
-  for (const char* routing : {"MIN", "VAL", "UGAL-L", "UGAL-G"}) {
-    spec.series.push_back(
-        {topos[0], routing, traffic, "SF-" + std::string(routing)});
-  }
-  spec.series.push_back({topos[1], "DF-UGAL-L", traffic, "DF-UGAL-L"});
-  spec.series.push_back({topos[2], "FT-ANCA", traffic, "FT-ANCA"});
-  return spec;
-}
-
-inline void run_fig6(const std::string& tag, const std::string& title,
-                     const std::string& traffic) {
-  run_experiment(fig6_spec(tag, traffic), title);
 }
 
 }  // namespace slimfly::bench

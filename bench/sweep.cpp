@@ -15,40 +15,18 @@
 // (SF_THREADS to override) and writes BENCH_<name>.json. The spec-string
 // grammar and the suite-file schema are documented in docs/SPEC_GRAMMAR.md.
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "exp/diff.hpp"
 #include "exp/suite.hpp"
 
 namespace {
-
-std::vector<double> parse_loads(const std::string& csv) {
-  std::vector<double> loads;
-  std::stringstream ss(csv);
-  std::string part;
-  while (std::getline(ss, part, ',')) {
-    std::size_t pos = 0;
-    double v = std::stod(part, &pos);
-    if (pos != part.size() || v <= 0.0) {
-      throw std::invalid_argument("malformed load \"" + part +
-                                  "\" (must be a positive number)");
-    }
-    loads.push_back(v);
-  }
-  if (loads.empty()) throw std::invalid_argument("empty load list");
-  // The engine's saturation truncation assumes an ascending grid; a
-  // descending list would silently drop valid low-load points.
-  std::sort(loads.begin(), loads.end());
-  return loads;
-}
 
 double parse_tolerance(const std::string& value, const char* flag) {
   std::size_t pos = 0;
@@ -86,12 +64,11 @@ int usage(const char* argv0, int exit_code) {
       << "usage: " << argv0
       << " [--name TAG] [--topo SPEC]... [--routing SPEC]...\n"
          "       [--traffic NAME]... [--loads L1,L2,...] [--seed N]\n"
-         "       [--intra N] [--oracle NAME]\n"
-         "       [--scheduler NAME] [--no-truncate] [--list] [--help]\n"
+         "       [--intra N] [--oracle NAME] [--no-truncate] [--list]\n"
+         "       [--help]\n"
          "   or: " << argv0
       << " --config SUITE.json [--scale NAME] [--name TAG]\n"
-         "       [--seed N] [--intra N] [--oracle NAME]\n"
-         "       [--scheduler NAME] [--no-truncate]\n"
+         "       [--seed N] [--intra N] [--oracle NAME] [--no-truncate]\n"
          "   or: " << argv0
       << " ... --emit-config PATH   (write the suite JSON, run nothing;\n"
          "       PATH \"-\" = stdout)\n"
@@ -116,13 +93,9 @@ int usage(const char* argv0, int exit_code) {
          "  SF_ORACLE or auto). Bit-identical results either way; family\n"
          "  answers from per-topology structure instead of the O(N^2) BFS\n"
          "  table, auto picks table below 4096 routers and family above.\n"
-         "--scheduler NAME: point scheduler, static or stealing (default\n"
-         "  SF_SCHEDULER or static). Bit-identical results either way;\n"
-         "  stealing lets big points absorb workers freed by finished\n"
-         "  points instead of stepping single-file at the tail of a grid.\n"
          "env: SF_THREADS (across-point workers, 0/unset = all cores),\n"
          "  SF_INTRA_THREADS (as --intra), SF_ORACLE (as --oracle),\n"
-         "  SF_SCHEDULER (as --scheduler), SF_BENCH_SCALE (small|paper).\n"
+         "  SF_BENCH_SCALE (small|paper).\n"
          "Spec-string grammar and suite schema: docs/SPEC_GRAMMAR.md;\n"
          "paper->code map and engine internals: docs/ARCHITECTURE.md;\n"
          "sanitizer presets, linter, determinism tooling: "
@@ -250,7 +223,6 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> seed;
   std::optional<int> intra;
   std::optional<sim::OracleMode> oracle;
-  std::optional<exp::SchedulerMode> scheduler;
   bool truncate = true, truncate_flag = false;
 
   auto next_arg = [&](int& i) -> const char* {
@@ -273,7 +245,7 @@ int main(int argc, char** argv) {
       } else if (!std::strcmp(argv[i], "--traffic")) {
         traffics.push_back(next_arg(i));
       } else if (!std::strcmp(argv[i], "--loads")) {
-        loads = parse_loads(next_arg(i));
+        loads = exp::parse_loads(next_arg(i), "--loads");
       } else if (!std::strcmp(argv[i], "--config")) {
         config_path = next_arg(i);
       } else if (!std::strcmp(argv[i], "--scale")) {
@@ -301,8 +273,6 @@ int main(int argc, char** argv) {
         intra = static_cast<int>(std::stoul(value));
       } else if (!std::strcmp(argv[i], "--oracle")) {
         oracle = exp::oracle_from_string(next_arg(i), "--oracle");
-      } else if (!std::strcmp(argv[i], "--scheduler")) {
-        scheduler = exp::scheduler_from_string(next_arg(i), "--scheduler");
       } else if (!std::strcmp(argv[i], "--no-truncate")) {
         truncate = false;
         truncate_flag = true;
@@ -343,14 +313,6 @@ int main(int argc, char** argv) {
       if (!oracle && !exp::suite_sets_config_key(suite, scale, "oracle")) {
         spec.config.oracle = exp::oracle_from_env();
       }
-      // Scheduler precedence: --scheduler flag, then the suite's own hint,
-      // then SF_SCHEDULER (the ExperimentEngine ctor default), then static.
-      // A suite-level key like `threads`, not a config key — byte-identical
-      // results either way.
-      if (!scheduler && !suite.scheduler.empty()) {
-        scheduler = exp::scheduler_from_string(suite.scheduler,
-                                               "suite \"scheduler\"");
-      }
     } else {
       if (!scale.empty()) {
         throw std::invalid_argument("--scale requires --config");
@@ -373,9 +335,8 @@ int main(int argc, char** argv) {
     }
 
     if (!emit_path.empty()) {
-      const std::string text = exp::serialize_suite(exp::suite_from_spec(
-          spec, threads_hint,
-          scheduler ? exp::to_string(*scheduler) : std::string()));
+      const std::string text =
+          exp::serialize_suite(exp::suite_from_spec(spec, threads_hint));
       if (emit_path == "-") {
         std::cout << text;
       } else {
@@ -394,7 +355,7 @@ int main(int argc, char** argv) {
     // hint, then all hardware threads (the engine's own fallback).
     std::size_t threads = exp::threads_from_env();
     if (threads == 0) threads = threads_hint;
-    bench::run_experiment(spec, "command-line sweep", threads, scheduler);
+    bench::run_experiment(spec, "command-line sweep", threads);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

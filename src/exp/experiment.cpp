@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -190,6 +191,38 @@ ExperimentSpec ExperimentSpec::cross(std::string name,
   return spec;
 }
 
+std::vector<double> checked_loads(std::vector<double> loads,
+                                  const std::string& context) {
+  if (loads.empty()) throw std::invalid_argument(context + ": empty load list");
+  for (double load : loads) {
+    // Also keeps NaN out of the sort below and inf out of JSON output.
+    if (!(std::isfinite(load) && load > 0.0)) {
+      throw std::invalid_argument(context +
+                                  ": loads must be positive and finite (got " +
+                                  json_num(load) + ")");
+    }
+  }
+  std::sort(loads.begin(), loads.end());
+  return loads;
+}
+
+std::vector<double> parse_loads(const std::string& csv,
+                                const std::string& context) {
+  std::vector<double> loads;
+  std::stringstream ss(csv);
+  std::string part;
+  while (std::getline(ss, part, ',')) {
+    char* end = nullptr;
+    const double load = std::strtod(part.c_str(), &end);
+    if (part.empty() || *end != '\0') {
+      throw std::invalid_argument(context + ": malformed load \"" + part +
+                                  "\"");
+    }
+    loads.push_back(load);
+  }
+  return checked_loads(std::move(loads), context);
+}
+
 std::uint64_t point_seed(const ExperimentSpec& spec, std::size_t series_index,
                          std::size_t load_index) {
   const SeriesSpec& s = spec.series.at(series_index);
@@ -236,38 +269,17 @@ sim::OracleMode oracle_from_env() {
   return sim::OracleMode::Auto;  // unset/junk: the tolerant env fallback
 }
 
-SchedulerMode scheduler_from_string(const std::string& name,
-                                    const std::string& context) {
-  if (name == "static") return SchedulerMode::Static;
-  if (name == "stealing") return SchedulerMode::Stealing;
-  throw std::invalid_argument(context + ": unknown scheduler \"" + name +
-                              "\" (known: static, stealing)");
-}
-
-SchedulerMode scheduler_from_env() {
-  const char* env = std::getenv("SF_SCHEDULER");
-  if (!env) return SchedulerMode::Static;
-  const std::string name(env);
-  if (name == "stealing") return SchedulerMode::Stealing;
-  return SchedulerMode::Static;  // unset/junk: the tolerant env fallback
-}
-
 ExperimentEngine::ExperimentEngine(std::size_t threads) {
   if (threads == 0) threads = threads_from_env();
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   threads_ = threads;
-  scheduler_ = scheduler_from_env();
 }
 
 ExperimentEngine::~ExperimentEngine() = default;
 
 std::size_t ExperimentEngine::threads() const { return threads_; }
-
-SchedulerMode ExperimentEngine::scheduler() const { return scheduler_; }
-
-void ExperimentEngine::set_scheduler(SchedulerMode mode) { scheduler_ = mode; }
 
 void ExperimentEngine::for_indices(
     std::size_t n, std::size_t width,
@@ -276,10 +288,10 @@ void ExperimentEngine::for_indices(
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  // The pool is created on first parallel use, so single-threaded wrappers
-  // (sim::load_sweep) never spawn a worker they won't use. It is resized
-  // when the schedule narrows the across-point width (intra-point workers
-  // claiming part of the budget) so the two levels never oversubscribe.
+  // The pool is created on first parallel use, so a one-worker engine never
+  // spawns a thread. It is resized when the schedule narrows the runner
+  // count (intra-point teams claiming part of the budget) so the two levels
+  // never oversubscribe.
   if (!pool_ || pool_width_ != width) {
     pool_.reset();
     pool_ = std::make_unique<ThreadPool>(width);
@@ -395,13 +407,7 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
         *topos[oracles[i].topo_index].topo, oracles[i].mode);
   });
 
-  PreparedExperiment prepared;
-  prepared.loads = spec.loads;
-  prepared.config = spec.config;
-  prepared.truncate_at_saturation = spec.truncate_at_saturation;
-  prepared.seed_fn = [&spec](std::size_t s, std::size_t l) {
-    return point_seed(spec, s, l);
-  };
+  std::vector<PreparedSeries> prepared;
   for (std::size_t i = 0; i < spec.series.size(); ++i) {
     const TopoEntry& entry = topos[series_topo[i]];
     std::shared_ptr<const sim::DistanceOracle> dist =
@@ -421,159 +427,131 @@ std::vector<RunResult> ExperimentEngine::run(const ExperimentSpec& spec,
                        topo = entry.topo.get()]() {
       return sim::make_traffic(name, *topo);
     };
-    prepared.series.push_back(std::move(ps));
+    prepared.push_back(std::move(ps));
   }
-  return run_prepared(prepared, on_point);
+  return run_prepared(spec, prepared, on_point);
 }
 
 std::vector<RunResult> ExperimentEngine::run_prepared(
-    const PreparedExperiment& prepared, const ProgressFn& on_point) {
-  const std::size_t n_loads = prepared.loads.size();
-  const std::size_t n_points = prepared.series.size() * n_loads;
+    const ExperimentSpec& spec, const std::vector<PreparedSeries>& series,
+    const ProgressFn& on_point) {
+  const std::size_t n_series = series.size();
+  const std::size_t n_loads = spec.loads.size();
   const std::pair<std::size_t, int> sched =
-      schedule(n_points, prepared.config.intra_threads);
-  const std::size_t across = sched.first;
-  const int intra = sched.second;
-  std::mutex progress_mutex;
-  auto run_point = [&](std::size_t s, std::size_t l, int point_intra,
-                       const std::function<int()>& team_provider) {
-    const PreparedSeries& series = prepared.series[s];
-    sim::SimConfig cfg = prepared.config;
-    if (!series.config_overrides.empty()) {
-      cfg = apply_config_overrides(cfg, series.config_overrides, false,
-                                   "series \"" + series.label + "\"");
-    }
-    // Execution-only fields, applied after the overrides on purpose: the
-    // schedule (or the stealing runner) owns how a point uses the machine,
-    // and neither field enters point_seed, so results are unchanged.
-    cfg.intra_threads = point_intra;  // never 0 here
-    cfg.team_provider = team_provider;
-    if (prepared.seed_fn) cfg.seed = prepared.seed_fn(s, l);
-    auto routing = series.make_routing();
-    auto traffic = series.make_traffic();
-    RunResult out;
-    out.series_index = s;
-    out.load = prepared.loads[l];
-    out.seed = cfg.seed;
-    Timer timer;
-    out.result = sim::simulate(*series.topo, *routing, *traffic, cfg,
-                               prepared.loads[l]);
-    out.wall_seconds = timer.seconds();
-    out.peak_rss_bytes = peak_rss_bytes();
-    if (on_point) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      on_point(series, out);
-    }
-    return out;
-  };
+      schedule(n_series * n_loads, spec.config.intra_threads);
+  const std::size_t runners = sched.first;
+  const int team = sched.second;
+  // Every point shards for the whole budget, the finest split a grown team
+  // could use; the live team size is whatever the provider says (sharding
+  // and team size are both results-invariant).
+  const int max_team = static_cast<int>(threads_);
 
-  // Per-series lowest load index already observed saturated: truncation
-  // drops everything past it, so such points can be skipped outright
-  // without changing the kept output (they're the slowest points, too —
-  // saturated networks churn maximum traffic until the drain cap).
-  std::vector<std::atomic<std::size_t>> first_saturated(prepared.series.size());
-  for (auto& f : first_saturated) f.store(n_loads, std::memory_order_relaxed);
-  auto note_saturated = [&](std::size_t s, std::size_t l) {
-    std::size_t seen = first_saturated[s].load(std::memory_order_relaxed);
-    while (l < seen && !first_saturated[s].compare_exchange_weak(
-                           seen, l, std::memory_order_relaxed)) {
-    }
+  // Claim state, all under `mutex` (claims and completions are per point,
+  // so the lock is cold). Each series' unclaimed loads are the suffix from
+  // next_load[s]; loads past first_saturated[s] are never claimed when the
+  // spec truncates.
+  std::mutex mutex;
+  std::vector<std::size_t> next_load(n_series, 0);
+  std::vector<std::size_t> in_flight(n_series, 0);
+  std::vector<std::size_t> first_saturated(n_series, n_loads);
+  auto has_unclaimed = [&](std::size_t s) {
+    return next_load[s] < n_loads &&
+           (!spec.truncate_at_saturation || next_load[s] <= first_saturated[s]);
   };
-  // Post-filter shared by every parallel path: keep each series' prefix up
-  // to and including its first saturated point — exactly what the
-  // sequential early-stop path produces, so all schedules return identical
-  // points.
-  auto filter_truncated = [&](std::vector<RunResult>&& all) {
-    std::vector<RunResult> kept;
-    for (std::size_t s = 0; s < prepared.series.size(); ++s) {
-      for (std::size_t l = 0; l < n_loads; ++l) {
-        kept.push_back(std::move(all[s * n_loads + l]));
-        if (prepared.truncate_at_saturation && kept.back().result.saturated) {
-          break;
-        }
+  // The lowest unclaimed load of the first series with nothing in flight —
+  // so a series' saturation is usually known before its higher loads start
+  // — else the next point in (series, load) order; npos when none is left.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  auto claim = [&]() -> std::size_t {
+    std::lock_guard<std::mutex> lock(mutex);
+    std::size_t pick = kNone;
+    for (std::size_t s = 0; s < n_series; ++s) {
+      if (!has_unclaimed(s)) continue;
+      if (pick == kNone) pick = s;
+      if (in_flight[s] == 0) {
+        pick = s;
+        break;
       }
     }
-    return kept;
+    if (pick == kNone) return kNone;
+    ++in_flight[pick];
+    return pick * n_loads + next_load[pick]++;
   };
 
-  if (scheduler_ == SchedulerMode::Stealing && threads_ > 1 && n_points > 0) {
-    // Work stealing: every engine worker is a runner claiming whole points
-    // from a shared counter. A runner that finds the grid drained retires
-    // its worker into `spares`; the points still running poll the spare
-    // pool once per simulated cycle (via SimConfig::team_provider) and
-    // widen their intra-shard stepping teams to absorb the freed workers —
-    // so the tail of a grid (a few big points) still fills the machine.
-    // `spares` counts permissions, not threads: the claiming point's own
-    // Network supplies the extra stepping workers, and the retired runner
-    // thread simply exits its loop. Per-point seeds, truncation, and
-    // result bytes are identical to the static schedule.
-    std::vector<RunResult> all(n_points);
-    std::atomic<std::size_t> next{0};
-    std::atomic<int> spares{0};
-    const int max_team = static_cast<int>(threads_);
-    for_indices(threads_, threads_, [&](std::size_t) {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n_points) break;
-        const std::size_t s = i / n_loads;
-        const std::size_t l = i % n_loads;
-        if (prepared.truncate_at_saturation &&
-            l > first_saturated[s].load(std::memory_order_relaxed)) {
-          continue;  // guaranteed to be truncated; leave the slot empty
-        }
-        // Claims are point-local: the team starts as just this runner and
-        // grows monotonically while the point runs (claimed spares are only
-        // returned when the point finishes, below).
-        std::atomic<int> claimed{0};
-        auto provider = [&spares, &claimed, max_team]() {
-          int team = 1 + claimed.load(std::memory_order_relaxed);
-          while (team < max_team) {
-            int avail = spares.load(std::memory_order_relaxed);
-            if (avail <= 0) break;
-            if (spares.compare_exchange_weak(avail, avail - 1,
-                                             std::memory_order_relaxed)) {
-              team = 2 + claimed.fetch_add(1, std::memory_order_relaxed);
-            }
+  // `spares` counts stepping permissions, not threads: a point that claims
+  // one steps with one more worker of its own Network's team, while the
+  // retired runner's thread simply leaves its loop.
+  std::atomic<int> spares{static_cast<int>(threads_) -
+                          static_cast<int>(runners) * team};
+  std::mutex progress_mutex;  // serializes on_point calls
+
+  std::vector<RunResult> all(n_series * n_loads);
+  for_indices(runners, runners, [&](std::size_t) {
+    for (std::size_t i = claim(); i != kNone; i = claim()) {
+      const std::size_t s = i / n_loads;
+      const std::size_t l = i % n_loads;
+      // Polled once per simulated cycle by the point's own thread: the team
+      // starts at `team` and only grows while the point runs.
+      int claimed = 0;
+      auto provider = [&spares, &claimed, team, max_team]() {
+        while (team + claimed < max_team) {
+          int avail = spares.load(std::memory_order_relaxed);
+          if (avail <= 0) break;
+          if (spares.compare_exchange_weak(avail, avail - 1,
+                                           std::memory_order_relaxed)) {
+            ++claimed;
           }
-          return team;
-        };
-        // intra_threads = the full worker budget so the Network shards at
-        // the finest granularity a grown team could use (sharding is
-        // results-invariant; the live team size is what the provider says).
-        all[i] = run_point(s, l, max_team, provider);
-        spares.fetch_add(claimed.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-        if (all[i].result.saturated) note_saturated(s, l);
+        }
+        return team + claimed;
+      };
+      sim::SimConfig cfg = spec.config;
+      if (!series[s].config_overrides.empty()) {
+        cfg = apply_config_overrides(cfg, series[s].config_overrides, false,
+                                     "series \"" + series[s].label + "\"");
       }
-      spares.fetch_add(1, std::memory_order_relaxed);
-    });
-    return filter_truncated(std::move(all));
-  }
-
-  if (across == 1 && prepared.truncate_at_saturation) {
-    // Sequential early stop: never simulate past a series' saturation point.
-    std::vector<RunResult> out;
-    for (std::size_t s = 0; s < prepared.series.size(); ++s) {
-      for (std::size_t l = 0; l < n_loads; ++l) {
-        out.push_back(run_point(s, l, intra, {}));
-        if (out.back().result.saturated) break;
+      // Execution-only fields, applied after the overrides on purpose: the
+      // scheduler owns how a point uses the machine, and neither field
+      // enters point_seed, so results are unchanged.
+      cfg.intra_threads = max_team;
+      cfg.team_provider = provider;
+      cfg.seed = point_seed(spec, s, l);
+      auto routing = series[s].make_routing();
+      auto traffic = series[s].make_traffic();
+      RunResult& out = all[i];
+      out.series_index = s;
+      out.load = spec.loads[l];
+      out.seed = cfg.seed;
+      Timer timer;
+      out.result = sim::simulate(*series[s].topo, *routing, *traffic, cfg,
+                                 spec.loads[l]);
+      out.wall_seconds = timer.seconds();
+      out.peak_rss_bytes = peak_rss_bytes();
+      spares.fetch_add(claimed, std::memory_order_relaxed);
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        --in_flight[s];
+        if (out.result.saturated) {
+          first_saturated[s] = std::min(first_saturated[s], l);
+        }
+      }
+      if (on_point) {
+        std::lock_guard<std::mutex> lock(progress_mutex);
+        on_point(series[s], out);
       }
     }
-    return out;
-  }
-
-  std::vector<RunResult> all(n_points);
-  for_indices(n_points, across, [&](std::size_t i) {
-    const std::size_t s = i / n_loads;
-    const std::size_t l = i % n_loads;
-    if (prepared.truncate_at_saturation &&
-        l > first_saturated[s].load(std::memory_order_relaxed)) {
-      return;  // guaranteed to be truncated; leave the slot empty
-    }
-    all[i] = run_point(s, l, intra, {});
-    if (all[i].result.saturated) note_saturated(s, l);
+    spares.fetch_add(team, std::memory_order_relaxed);
   });
-  return filter_truncated(std::move(all));
+
+  // Keep each series' prefix up to and including its first saturated point.
+  // Every load up to that point was claimed, so no kept slot is empty.
+  std::vector<RunResult> kept;
+  for (std::size_t s = 0; s < n_series; ++s) {
+    for (std::size_t l = 0; l < n_loads; ++l) {
+      kept.push_back(std::move(all[s * n_loads + l]));
+      if (spec.truncate_at_saturation && kept.back().result.saturated) break;
+    }
+  }
+  return kept;
 }
 
 Table to_table(const ExperimentSpec& spec,

@@ -26,11 +26,12 @@
 //   * within a point — SimConfig::intra_threads router-parallel stepping
 //     workers inside each Network (SF_INTRA_THREADS / sweep --intra);
 //     ideal for a few paper-scale points that would otherwise serialize.
-// run_prepared() composes them without oversubscription: with
-// intra_threads == 1 every engine worker runs whole points; with
-// intra_threads == N > 1 the across-point width shrinks to threads/N; with
+// run() composes them without oversubscription: with intra_threads == 1
+// every engine worker starts as a runner of whole points; with
+// intra_threads == N > 1 the runner count shrinks to threads/N; with
 // intra_threads == 0 ("auto") wide grids (points >= threads) go fully
 // across-point and narrow grids split the workers across the few points.
+// Workers freed as the grid drains join the points still running.
 // Neither level affects results — only wall-clock time.
 
 #include <cstdint>
@@ -93,7 +94,7 @@ struct ExperimentSpec {
   std::vector<double> loads;        ///< offered loads, ascending
   sim::SimConfig config;            ///< config.seed is the base seed
   /// Drop a series' points after its first saturated load, matching the
-  /// sequential sweep methodology (a parallel run still executes them).
+  /// sequential sweep methodology (a parallel run may still execute some).
   bool truncate_at_saturation = true;
 
   /// Cross-product helper: one series per compatible combination;
@@ -107,6 +108,16 @@ struct ExperimentSpec {
                               std::vector<double> loads,
                               sim::SimConfig config);
 };
+
+/// The offered-load rule shared by suite files and command lines: a
+/// non-empty grid of finite loads > 0, returned ascending (saturation
+/// truncation assumes it). Throws std::invalid_argument naming `context`.
+std::vector<double> checked_loads(std::vector<double> loads,
+                                  const std::string& context);
+
+/// checked_loads over a comma-separated list ("0.1,0.3,0.5").
+std::vector<double> parse_loads(const std::string& csv,
+                                const std::string& context);
 
 /// Outcome of one expanded run point.
 struct RunResult {
@@ -150,63 +161,18 @@ sim::OracleMode oracle_from_string(const std::string& name,
 /// oracle cannot change results, so junk safely falls back).
 sim::OracleMode oracle_from_env();
 
-/// Point-scheduling policy for run_prepared. Execution-only, like
-/// SF_THREADS: both modes produce byte-identical results (same points, same
-/// per-point seeds, same truncation), so the knob is a suite-level hint and
-/// never enters point_seed hashing.
-///
-///   Static   — the fixed across/intra split schedule() computes up front;
-///              every point steps with the same intra team for its whole
-///              life. A grid whose points finish at very different times
-///              strands workers: a runner that drains its share idles while
-///              the big point next door steps single-file.
-///   Stealing — every engine worker is a runner claiming points from a
-///              shared counter; a runner that finds the grid empty retires
-///              its worker into a spare pool, and the still-running points'
-///              team providers (SimConfig::team_provider) claim those
-///              spares to widen their intra-shard teams mid-flight. Big
-///              points absorb the machine as small points drain.
-enum class SchedulerMode : std::uint8_t { Static = 0, Stealing = 1 };
-
-inline const char* to_string(SchedulerMode mode) {
-  return mode == SchedulerMode::Stealing ? "stealing" : "static";
-}
-
-/// Parses a scheduler name ("static" | "stealing"); anything else throws
-/// std::invalid_argument naming `context`.
-SchedulerMode scheduler_from_string(const std::string& name,
-                                    const std::string& context);
-
-/// Scheduler policy: SF_SCHEDULER env var when set to a known name; unset
-/// or unparsable means SchedulerMode::Static (the scheduler cannot change
-/// results, so junk safely falls back).
-SchedulerMode scheduler_from_env();
-
-// ---- prepared (non-registry) form ------------------------------------------
-// The compatibility path for callers that already hold topology / routing /
-// traffic objects (sim::load_sweep). The registry path lowers onto this.
-
+/// Point inputs built once per series by ExperimentEngine::run and handed
+/// to ProgressFn with every finished point.
 struct PreparedSeries {
   const Topology* topo = nullptr;  ///< shared read-only across points
-  /// Fresh routing instance per point (may close over a shared const
-  /// DistanceTable; a single-threaded run may return the same instance).
+  /// Fresh routing instance per point (closes over the shared const
+  /// distance oracle).
   std::function<std::shared_ptr<sim::RoutingAlgorithm>()> make_routing;
   /// Fresh traffic instance per point (patterns carry per-run state).
   std::function<std::unique_ptr<sim::TrafficPattern>()> make_traffic;
   std::string label;
   /// Applied onto the experiment's SimConfig for this series' points.
   ConfigOverrides config_overrides;
-};
-
-struct PreparedExperiment {
-  std::vector<PreparedSeries> series;
-  std::vector<double> loads;
-  sim::SimConfig config;
-  bool truncate_at_saturation = true;
-  /// Per-point seed; nullptr keeps config.seed for every point (the legacy
-  /// load_sweep behaviour).
-  std::function<std::uint64_t(std::size_t series_idx, std::size_t load_idx)>
-      seed_fn;
 };
 
 class ExperimentEngine {
@@ -217,48 +183,47 @@ class ExperimentEngine {
 
   std::size_t threads() const;
 
-  /// Point-scheduling policy (defaults to scheduler_from_env()). Execution
-  /// only: run/run_prepared return byte-identical results either way.
-  SchedulerMode scheduler() const;
-  void set_scheduler(SchedulerMode mode);
-
   /// Completion hook for long runs: called once per finished point, from
   /// worker threads but never concurrently (the engine serializes calls).
   using ProgressFn = std::function<void(const PreparedSeries& series,
                                         const RunResult& point)>;
 
-  /// Expands and runs a registry-keyed spec. Topologies and distance tables
-  /// are built once per distinct topology string (in parallel), then all
-  /// points run over the pool. Results are ordered by (series, load).
+  /// Expands and runs a registry-keyed spec. Topologies and distance
+  /// oracles are built once per distinct topology string (in parallel),
+  /// then the points run under one scheduler:
+  ///   * schedule() sets the runner count and each point's starting intra
+  ///     team; budget left over starts in a spare pool.
+  ///   * A runner claims the lowest unclaimed load of a series with no
+  ///     point in flight, else the next point in (series, load) order, so
+  ///     a series' saturation is usually known before its higher loads
+  ///     start. Loads past a series' first saturated one are never claimed
+  ///     when the spec truncates (one runner therefore stops exactly
+  ///     there); any that already ran are dropped afterwards.
+  ///   * A runner with nothing left to claim retires its team into the
+  ///     spare pool, and still-running points grow their teams from it
+  ///     (SimConfig::team_provider).
+  /// Execution-only: results are ordered by (series, load) and identical
+  /// for every worker count.
   std::vector<RunResult> run(const ExperimentSpec& spec,
                              const ProgressFn& on_point = {});
 
-  /// Runs an already-prepared experiment. When points run one at a time
-  /// (one engine worker, or intra-point workers claiming the whole budget)
-  /// and truncate_at_saturation is set, loads past a series' first
-  /// saturated point are skipped entirely (the sequential early-stop of the
-  /// original load_sweep); an across-point parallel run skips a point once
-  /// a lower load of its series is known saturated and drops the rest after
-  /// the fact — either way the returned points are identical.
-  std::vector<RunResult> run_prepared(const PreparedExperiment& prepared,
-                                      const ProgressFn& on_point = {});
-
-  /// The (across-point width, per-point intra worker count) run_prepared
-  /// would use for a grid of `n_points` under `requested_intra`
-  /// (SimConfig::intra_threads). Exposed for tests and schedulers; the
+  /// The (runner count, starting intra team) run() uses for a grid of
+  /// `n_points` under `requested_intra` (SimConfig::intra_threads). The
   /// product never exceeds threads().
   std::pair<std::size_t, int> schedule(std::size_t n_points,
                                        int requested_intra) const;
 
  private:
+  std::vector<RunResult> run_prepared(const ExperimentSpec& spec,
+                                      const std::vector<PreparedSeries>& series,
+                                      const ProgressFn& on_point);
+
   /// Inline loop when width <= 1; otherwise parallel_for_checked over a
-  /// lazily-created pool of `width` workers (so sequential wrappers never
-  /// spawn workers they won't use).
+  /// lazily-created pool of `width` workers.
   void for_indices(std::size_t n, std::size_t width,
                    const std::function<void(std::size_t)>& body);
 
   std::size_t threads_ = 1;
-  SchedulerMode scheduler_ = SchedulerMode::Static;
   std::size_t pool_width_ = 0;
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -72,7 +72,7 @@ struct SimConfig {
   std::int64_t stats_window = 0;
 
   /// Execution-only hook the Network polls once per step(): lets an
-  /// external scheduler (the work-stealing experiment engine — see
+  /// external scheduler (the experiment engine's point scheduler — see
   /// exp/experiment.hpp) grow or shrink the intra-point worker team while
   /// the point runs. The returned count is clamped to [1, intra_threads];
   /// null (the default) keeps a fixed team. Like intra_threads itself this

@@ -36,30 +36,29 @@ namespace slimfly::sim {
 
 DistanceTable::DistanceTable(const Graph& g) : n_(g.num_vertices()) {
   table_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), 255);
-  std::vector<int> frontier;
+  // One FIFO for every source: a BFS enqueues each vertex at most once, in
+  // nondecreasing distance order, so the last one enqueued is the farthest.
+  std::vector<int> queue(static_cast<std::size_t>(n_));
   for (int s = 0; s < n_; ++s) {
     auto* row = &table_[static_cast<std::size_t>(s) * static_cast<std::size_t>(n_)];
     row[s] = 0;
-    frontier.assign(1, s);
-    int depth = 0;
-    while (!frontier.empty()) {
-      std::vector<int> next;
-      for (int v : frontier) {
-        for (int w : g.neighbors(v)) {
-          if (row[w] == 255) {
-            if (depth + 1 >= 255) throw std::logic_error("DistanceTable: diameter too large");
-            row[w] = static_cast<std::uint8_t>(depth + 1);
-            next.push_back(w);
-          }
+    queue[0] = s;
+    std::size_t head = 0, tail = 1;
+    while (head < tail) {
+      const int v = queue[head++];
+      const int depth = row[v] + 1;
+      for (int w : g.neighbors(v)) {
+        if (row[w] == 255) {
+          if (depth >= 255) throw std::logic_error("DistanceTable: diameter too large");
+          row[w] = static_cast<std::uint8_t>(depth);
+          queue[tail++] = w;
         }
       }
-      frontier = std::move(next);
-      ++depth;
     }
-    for (int v = 0; v < n_; ++v) {
-      if (row[v] == 255) throw std::invalid_argument("DistanceTable: graph disconnected");
-      diameter_ = std::max(diameter_, static_cast<int>(row[v]));
+    if (tail != static_cast<std::size_t>(n_)) {
+      throw std::invalid_argument("DistanceTable: graph disconnected");
     }
+    diameter_ = std::max(diameter_, static_cast<int>(row[queue[tail - 1]]));
   }
 }
 

@@ -1,8 +1,7 @@
 #pragma once
-// High-level simulation driver: routing factories, single-point runs and
-// offered-load sweeps (the x-axis of the paper's Figures 6 and 8).
+// High-level simulation entry points: routing factories and single-point runs
+// (load grids run on exp::ExperimentEngine).
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -88,19 +87,5 @@ RoutingBundle make_routing_spec(const std::string& spec, const Topology& topo,
 /// Runs one (topology, routing, traffic, load) point.
 SimResult simulate(const Topology& topo, RoutingAlgorithm& routing,
                    TrafficPattern& traffic, SimConfig config, double load);
-
-struct SweepPoint {
-  double load = 0.0;
-  SimResult result;
-};
-
-/// Sweeps offered load over `loads` (ascending); stops after the first
-/// saturated point when stop_at_saturation is set. The traffic pattern is
-/// rebuilt per point via the factory so state never leaks between points.
-std::vector<SweepPoint> load_sweep(
-    const Topology& topo, RoutingAlgorithm& routing,
-    const std::function<std::unique_ptr<TrafficPattern>()>& traffic_factory,
-    SimConfig config, const std::vector<double>& loads,
-    bool stop_at_saturation = true);
 
 }  // namespace slimfly::sim

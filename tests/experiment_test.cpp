@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -429,24 +430,27 @@ TEST(TrafficRegistry, RoundTripEveryName) {
   EXPECT_THROW(sim::make_traffic("worst-ft", df), std::invalid_argument);
 }
 
-TEST(LoadSweep, LegacySeedSemanticsPreserved) {
-  // load_sweep is now a wrapper over the engine's sequential path; it must
-  // still run every point with the caller's config seed and a fresh traffic
-  // instance, exactly like a hand-written simulate() loop.
-  sf::SlimFlyMMS topo(5);
-  auto cfg = tiny_config();
-  auto bundle = sim::make_routing(sim::RoutingKind::Minimal, topo);
-  auto points = sim::load_sweep(
-      topo, *bundle.algorithm,
-      [&] { return sim::make_uniform(topo.num_endpoints()); }, cfg,
-      {0.1, 0.3}, true);
-  ASSERT_GE(points.size(), 1u);
-  for (const auto& pt : points) {
-    auto traffic = sim::make_uniform(topo.num_endpoints());
-    auto direct = sim::simulate(topo, *bundle.algorithm, *traffic, cfg, pt.load);
-    EXPECT_EQ(pt.result.avg_latency, direct.avg_latency);
-    EXPECT_EQ(pt.result.accepted_load, direct.accepted_load);
-    EXPECT_EQ(pt.result.delivered, direct.delivered);
+TEST(ExperimentEngine, OneWorkerNeverRunsPastSaturation) {
+  // With one worker the scheduler claims a series' loads in order and never
+  // claims a load past the first saturated one, so the progress hook fires
+  // exactly once per kept point (the sequential early stop).
+  auto spec = tiny_spec();
+  spec.loads = {0.1, 0.3, 0.7, 0.9};
+  spec.series = {{"slimfly:q=5", "MIN", "uniform", "SF-MIN"},
+                 {"slimfly:q=5", "MIN", "worst-sf", "SF-MIN-worst"},
+                 {"slimfly:q=5", "VAL", "worst-sf", "SF-VAL-worst"}};
+  exp::ExperimentEngine engine(1);
+  std::map<std::pair<std::size_t, double>, int> fired;
+  auto results = engine.run(spec, [&](const exp::PreparedSeries&,
+                                      const exp::RunResult& r) {
+    ++fired[{r.series_index, r.load}];
+  });
+  // Both worst-case series saturate mid-grid, so the grid is truncated.
+  ASSERT_LT(results.size(), spec.series.size() * spec.loads.size());
+  ASSERT_EQ(fired.size(), results.size());
+  for (const auto& r : results) {
+    EXPECT_EQ((fired[{r.series_index, r.load}]), 1)
+        << "series " << r.series_index << " load " << r.load;
   }
 }
 

@@ -113,21 +113,21 @@ TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndOracleMatrix) {
 TEST(GoldenTrajectory, SchedulerAxisIsByteIdentical) {
   exp::ExperimentSpec spec = golden_spec();
   const std::string want = read_file(source_path(kTrajectoryPath));
-  // The point scheduler (static split vs work stealing) is execution-only:
-  // whichever runner claims a point, the point's seed comes from
-  // exp::point_seed and its stepping team only changes how many workers
-  // cover the fixed shard set between the same barriers. Every cell must
-  // reproduce the pinned trajectory byte-for-byte — including stealing
+  // The point scheduler is execution-only: whichever runner claims a
+  // point, the point's seed comes from exp::point_seed and its stepping
+  // team only changes how many workers cover the fixed shard set between
+  // the same barriers. Every cell must reproduce the pinned trajectory
+  // byte-for-byte — with starting teams seeded by schedule() (intra 2) and
   // teams that grow mid-point as sibling points drain (threads > points
-  // makes spares available immediately).
+  // puts spares in the pool from the start).
   for (std::size_t threads : {std::size_t{2}, std::size_t{32}}) {
-    for (exp::SchedulerMode mode :
-         {exp::SchedulerMode::Static, exp::SchedulerMode::Stealing}) {
+    for (int intra : {1, 2}) {
+      exp::ExperimentSpec run = spec;
+      run.config.intra_threads = intra;
       exp::ExperimentEngine engine(threads);
-      engine.set_scheduler(mode);
-      const std::string got = exp::golden_trajectory(spec, engine.run(spec));
+      const std::string got = exp::golden_trajectory(run, engine.run(run));
       EXPECT_EQ(want, got) << "SF_THREADS=" << threads
-                           << " SF_SCHEDULER=" << exp::to_string(mode);
+                           << " SF_INTRA_THREADS=" << intra;
     }
   }
 }

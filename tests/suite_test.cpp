@@ -209,6 +209,20 @@ TEST(SuiteParser, StructuralErrorsAreNamed) {
                      {"empty load list"});
   expect_parse_error("{\"suite\": \"x\", \"loads\": [-0.1]}",
                      {"must be positive"});
+  // 1e999 parses to inf; NaN has no JSON spelling, so it is checked on the
+  // command-line form, which shares the rule (sweep --loads).
+  expect_parse_error("{\"suite\": \"x\", \"loads\": [0.1, 1e999]}",
+                     {"loads", "positive and finite", "inf"});
+  for (const char* csv : {"0.2,nan,0.1", "0.1,1e999"}) {
+    try {
+      exp::parse_loads(csv, "--loads");
+      ADD_FAILURE() << "expected invalid_argument for --loads " << csv;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("--loads: loads must be positive and finite"),
+                std::string::npos) << msg;
+    }
+  }
   expect_parse_error("{\"suite\": \"x\", \"loads\": [0.1]}",
                      {"\"series\", \"cross\", or both"});
   expect_parse_error(

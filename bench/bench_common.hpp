@@ -62,9 +62,6 @@ inline sim::SimConfig make_sim_config() {
   // the engine split workers between the two levels). Never changes
   // results, only wall time — see docs/ARCHITECTURE.md.
   cfg.intra_threads = exp::intra_threads_from_env();
-  // Distance oracle (SF_ORACLE: auto | table | family). Bit-identical
-  // results either way; family sidesteps the O(N^2) BFS table at scale.
-  cfg.oracle = exp::oracle_from_env();
   return cfg;
 }
 

@@ -64,11 +64,11 @@ int usage(const char* argv0, int exit_code) {
       << "usage: " << argv0
       << " [--name TAG] [--topo SPEC]... [--routing SPEC]...\n"
          "       [--traffic NAME]... [--loads L1,L2,...] [--seed N]\n"
-         "       [--intra N] [--oracle NAME] [--no-truncate] [--list]\n"
+         "       [--intra N] [--no-truncate] [--list]\n"
          "       [--help]\n"
          "   or: " << argv0
       << " --config SUITE.json [--scale NAME] [--name TAG]\n"
-         "       [--seed N] [--intra N] [--oracle NAME] [--no-truncate]\n"
+         "       [--seed N] [--intra N] [--no-truncate]\n"
          "   or: " << argv0
       << " ... --emit-config PATH   (write the suite JSON, run nothing;\n"
          "       PATH \"-\" = stdout)\n"
@@ -89,13 +89,8 @@ int usage(const char* argv0, int exit_code) {
          "--intra N: router-parallel workers inside each point (0 = auto\n"
          "  split with the across-point level; default SF_INTRA_THREADS or\n"
          "  1). Results are bit-identical for every worker count.\n"
-         "--oracle NAME: distance oracle, auto, table, or family (default\n"
-         "  SF_ORACLE or auto). Bit-identical results either way; family\n"
-         "  answers from per-topology structure instead of the O(N^2) BFS\n"
-         "  table, auto picks table below 4096 routers and family above.\n"
          "env: SF_THREADS (across-point workers, 0/unset = all cores),\n"
-         "  SF_INTRA_THREADS (as --intra), SF_ORACLE (as --oracle),\n"
-         "  SF_BENCH_SCALE (small|paper).\n"
+         "  SF_INTRA_THREADS (as --intra), SF_BENCH_SCALE (small|paper).\n"
          "Spec-string grammar and suite schema: docs/SPEC_GRAMMAR.md;\n"
          "paper->code map and engine internals: docs/ARCHITECTURE.md;\n"
          "sanitizer presets, linter, determinism tooling: "
@@ -222,7 +217,6 @@ int main(int argc, char** argv) {
   std::string config_path, scale, emit_path;
   std::optional<std::uint64_t> seed;
   std::optional<int> intra;
-  std::optional<sim::OracleMode> oracle;
   bool truncate = true, truncate_flag = false;
 
   auto next_arg = [&](int& i) -> const char* {
@@ -271,8 +265,6 @@ int main(int argc, char** argv) {
                                       "\" (want 0..4096; 0 = auto)");
         }
         intra = static_cast<int>(std::stoul(value));
-      } else if (!std::strcmp(argv[i], "--oracle")) {
-        oracle = exp::oracle_from_string(next_arg(i), "--oracle");
       } else if (!std::strcmp(argv[i], "--no-truncate")) {
         truncate = false;
         truncate_flag = true;
@@ -308,11 +300,6 @@ int main(int argc, char** argv) {
       if (!intra && !exp::suite_sets_config_key(suite, scale, "intra_threads")) {
         spec.config.intra_threads = exp::intra_threads_from_env();
       }
-      // Oracle precedence, same shape: --oracle flag, then an explicit
-      // suite value, then SF_ORACLE, then auto.
-      if (!oracle && !exp::suite_sets_config_key(suite, scale, "oracle")) {
-        spec.config.oracle = exp::oracle_from_env();
-      }
     } else {
       if (!scale.empty()) {
         throw std::invalid_argument("--scale requires --config");
@@ -328,7 +315,6 @@ int main(int argc, char** argv) {
     }
     if (seed) spec.config.seed = *seed;
     if (intra) spec.config.intra_threads = *intra;
-    if (oracle) spec.config.oracle = *oracle;
     if (spec.series.empty()) {
       std::cerr << "no compatible (topology, routing, traffic) combination\n";
       return 1;

@@ -2,7 +2,7 @@
 """sf_lint.py — repo-specific determinism and hot-path invariant linter.
 
 The simulator's load-bearing invariants (bit-identical results across the
-SF_THREADS x SF_INTRA_THREADS x SF_ORACLE matrix, zero
+SF_THREADS x SF_INTRA_THREADS matrix, zero
 steady-state heap allocations in Network::step(), per-endpoint/per-router
 PCG32 streams) are enforced dynamically by the golden byte-equality tests
 and the allocator-counting hotpath_test. This linter enforces the *static*

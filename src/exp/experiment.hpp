@@ -11,9 +11,8 @@
 //     deterministically from the spec and the point, never from thread
 //     identity), its RoutingAlgorithm instance, and its TrafficPattern
 //     instance.
-//   * Topology and DistanceOracle are built once per topology spec (one
-//     oracle per distinct (topology, resolved OracleMode)) and shared
-//     across points strictly read-only (const references /
+//   * Topology and DistanceOracle are built once per topology spec and
+//     shared across points strictly read-only (const references /
 //     shared_ptr<const>-style usage; sample_minimal_path is const and
 //     draws from the caller's Rng).
 // Consequently a parallel run is bit-identical to a single-threaded run of
@@ -63,11 +62,11 @@ using ConfigOverrides = std::map<std::string, double>;
 /// Applies overrides onto `base`. Keys are the SimConfig field names
 /// (num_vcs, buffer_per_port, channel_latency, router_pipeline,
 /// credit_delay, alloc_iterations, output_staging, warmup_cycles,
-/// measure_cycles, drain_cycles, latency_cap, oracle, stats_window); with
+/// measure_cycles, drain_cycles, latency_cap, stats_window); with
 /// `allow_run_keys` also seed and intra_threads (suite-level blocks own
-/// those; per-series blocks must not — oracle and stats_window are allowed
-/// per series because, like intra_threads, they cannot change results and
-/// point_seed skips them).
+/// those; per-series blocks must not — stats_window is allowed per series
+/// because, like intra_threads, it cannot change results and point_seed
+/// skips it).
 /// Unknown keys and non-integral values for integer fields throw
 /// std::invalid_argument naming the key and `context`.
 sim::SimConfig apply_config_overrides(sim::SimConfig base,
@@ -150,16 +149,6 @@ std::size_t threads_from_env();
 /// plausible digit string (0 = let the engine's scheduler decide); unset or
 /// unparsable means 1 (sequential stepping), the SimConfig default.
 int intra_threads_from_env();
-
-/// Parses a distance-oracle mode ("auto" | "table" | "family"); anything
-/// else throws std::invalid_argument naming `context`.
-sim::OracleMode oracle_from_string(const std::string& name,
-                                   const std::string& context);
-
-/// Distance-oracle policy: SF_ORACLE env var when set to a known name;
-/// unset or unparsable means OracleMode::Auto, the SimConfig default (the
-/// oracle cannot change results, so junk safely falls back).
-sim::OracleMode oracle_from_env();
 
 /// Point inputs built once per series by ExperimentEngine::run and handed
 /// to ProgressFn with every finished point.

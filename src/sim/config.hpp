@@ -10,30 +10,6 @@
 
 namespace slimfly::sim {
 
-/// Distance-oracle selection. Every oracle returns exactly the BFS
-/// distances (certified by tests/oracle_test.cpp) and consumes the RNG
-/// stream bit-identically in sample_minimal_path, so the knob trades
-/// memory/build time only, is excluded from
-/// exp::point_seed hashing, and is allowed per-series in suites.
-///
-///   Auto   — dense DistanceTable for small networks (cheap and fastest to
-///            query), the per-family oracle beyond the threshold where the
-///            O(N^2) table stops being free.
-///   Table  — always the dense O(N^2) reference table.
-///   Family — always the per-family oracle (algebraic for slimfly,
-///            coordinate arithmetic for torus/hypercube/flatbutterfly,
-///            level rules for fattree/dragonfly, compressed BFS fallback
-///            for the random families) — see sim/routing/oracle.hpp.
-enum class OracleMode : std::uint8_t { Auto = 0, Table = 1, Family = 2 };
-
-inline const char* to_string(OracleMode mode) {
-  switch (mode) {
-    case OracleMode::Table: return "table";
-    case OracleMode::Family: return "family";
-    default: return "auto";
-  }
-}
-
 struct SimConfig {
   int num_vcs = 4;             ///< VC = hop index (Gopal); 4 covers <=4-hop paths
   int buffer_per_port = 64;    ///< total flit slots per input port (all VCs)
@@ -58,17 +34,12 @@ struct SimConfig {
   /// bit-identical for every value: the knob only trades wall-clock time.
   int intra_threads = 1;
 
-  /// Distance-oracle backend (auto | table | family). Never changes
-  /// results; see OracleMode.
-  OracleMode oracle = OracleMode::Auto;
-
   /// Windowed-stats bucket width in cycles; 0 (the default) disables
   /// windowed collection. When > 0, every window of W cycles accumulates a
   /// WindowStats row (generated/delivered/latency/dependency stalls — see
   /// stats.hpp) exposed as SimResult::windows and in BENCH JSON. Pure
-  /// observation: never changes simulation results, so — like oracle — it
-  /// is excluded from exp::point_seed hashing and allowed
-  /// per-series in suites.
+  /// observation: never changes simulation results, so it is excluded
+  /// from exp::point_seed hashing and allowed per-series in suites.
   std::int64_t stats_window = 0;
 
   /// Execution-only hook the Network polls once per step(): lets an

@@ -354,19 +354,11 @@ std::shared_ptr<const DistanceOracle> make_family_oracle(const Topology& topo) {
   return std::make_shared<CompressedBfsOracle>(topo.graph());
 }
 
-std::shared_ptr<const DistanceOracle> make_distance_oracle(const Topology& topo,
-                                                           OracleMode mode) {
-  switch (mode) {
-    case OracleMode::Table:
-      return std::make_shared<DistanceTable>(topo.graph());
-    case OracleMode::Family:
-      return make_family_oracle(topo);
-    default:
-      if (topo.num_routers() <= kDenseOracleRouterLimit) {
-        return std::make_shared<DistanceTable>(topo.graph());
-      }
-      return make_family_oracle(topo);
+std::shared_ptr<const DistanceOracle> make_distance_oracle(const Topology& topo) {
+  if (topo.num_routers() <= kDenseOracleRouterLimit) {
+    return std::make_shared<DistanceTable>(topo.graph());
   }
+  return make_family_oracle(topo);
 }
 
 }  // namespace slimfly::sim

@@ -35,8 +35,8 @@ class Network;
 /// sorted adjacency list per non-final hop, nothing drawn for the final
 /// hop. Every oracle with exact distances that keeps the default (or
 /// replicates its candidate sets in the same order) is bit-identical with
-/// the dense table, which is what keeps golden trajectories stable across
-/// OracleMode.
+/// the dense table, which is what keeps golden trajectories stable on
+/// either side of make_distance_oracle's router-count threshold.
 class DistanceOracle {
  public:
   virtual ~DistanceOracle() = default;

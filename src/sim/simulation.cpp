@@ -80,9 +80,7 @@ RoutingBundle make_routing(RoutingKind kind, const Topology& topo,
                            std::shared_ptr<const DistanceOracle> distances) {
   RoutingBundle bundle;
   if (kind != RoutingKind::FatTreeAnca) {
-    bundle.distances = distances
-                           ? std::move(distances)
-                           : make_distance_oracle(topo, OracleMode::Auto);
+    bundle.distances = distances ? std::move(distances) : make_distance_oracle(topo);
   }
   switch (kind) {
     case RoutingKind::Minimal:

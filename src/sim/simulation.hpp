@@ -48,7 +48,7 @@ struct RoutingBundle {
 /// Builds a routing algorithm for `topo`. DragonflyUgalL requires a
 /// Dragonfly topology and FatTreeAnca a FatTree3 (checked at runtime).
 /// An existing distance oracle may be shared to avoid recomputation; when
-/// none is passed, one is selected via make_distance_oracle(topo, Auto)
+/// none is passed, one is selected via make_distance_oracle(topo)
 /// (sim/routing/oracle.hpp) — the dense table on small networks, the
 /// per-family oracle beyond.
 RoutingBundle make_routing(RoutingKind kind, const Topology& topo,

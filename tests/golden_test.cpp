@@ -84,28 +84,20 @@ TEST(GoldenTrajectory, MatchesCheckedInTrajectoryExactly) {
          "regenerate with SF_UPDATE_GOLDEN=1 (see tests/golden/README.md)";
 }
 
-TEST(GoldenTrajectory, BitIdenticalAcrossThreadAndOracleMatrix) {
+TEST(GoldenTrajectory, BitIdenticalAcrossThreadMatrix) {
   exp::ExperimentSpec spec = golden_spec();
   const std::string want = read_file(source_path(kTrajectoryPath));
-  // SF_THREADS x SF_INTRA_THREADS x SF_ORACLE matrix, constructed
-  // directly so the test is hermetic against the environment. engine(1)
-  // with intra=2 clamps to sequential (one worker owns the whole budget) —
-  // still compared. The distance oracle is a memory knob: every cell
-  // reproduces the same pinned trajectory (the DLN-UGAL-L-oracle series
-  // keeps its per-series override in every cell).
+  // SF_THREADS x SF_INTRA_THREADS matrix, constructed directly so the test
+  // is hermetic against the environment. engine(1) with intra=2 clamps to
+  // sequential (one worker owns the whole budget) — still compared.
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (int intra : {1, 2}) {
-      for (sim::OracleMode oracle :
-           {sim::OracleMode::Table, sim::OracleMode::Family}) {
-        exp::ExperimentSpec run = spec;
-        run.config.intra_threads = intra;
-        run.config.oracle = oracle;
-        exp::ExperimentEngine engine(threads);
-        const std::string got = exp::golden_trajectory(run, engine.run(run));
-        EXPECT_EQ(want, got)
-            << "SF_THREADS=" << threads << " SF_INTRA_THREADS=" << intra
-            << " SF_ORACLE=" << sim::to_string(oracle);
-      }
+      exp::ExperimentSpec run = spec;
+      run.config.intra_threads = intra;
+      exp::ExperimentEngine engine(threads);
+      const std::string got = exp::golden_trajectory(run, engine.run(run));
+      EXPECT_EQ(want, got) << "SF_THREADS=" << threads
+                           << " SF_INTRA_THREADS=" << intra;
     }
   }
 }
@@ -146,7 +138,7 @@ TEST(GoldenTrajectory, DiffAgainstCheckedInBenchPasses) {
               "BENCH_golden_mini.json:\n"
            << os.str();
   }
-  EXPECT_EQ(report.compared, 18u);  // 9 series x 2 loads, no truncation
+  EXPECT_EQ(report.compared, 16u);  // 8 series x 2 loads, no truncation
 }
 
 // The analysis/cost layers' outputs for every distinct golden_mini

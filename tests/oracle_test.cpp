@@ -1,8 +1,8 @@
 // Distance-oracle certification: every per-family oracle must agree with
 // BFS (the dense DistanceTable) on every pair, report the exact diameter,
 // and replicate the dense sample_minimal_path walk bit-for-bit — the
-// properties that make OracleMode a pure memory knob that can never change
-// simulation results.
+// properties that let make_distance_oracle pick either by router count
+// without ever changing simulation results.
 
 #include <gtest/gtest.h>
 
@@ -173,22 +173,18 @@ TEST(Diameter2Oracle, BuildsOnlyWhenDiameterIsAtMostTwo) {
   EXPECT_EQ(complete->diameter(), 1);
 }
 
-TEST(OracleFactory, ModeAndAutoThresholdSelection) {
+TEST(OracleFactory, RouterCountSelectsOracle) {
   sf::SlimFlyMMS small(5);  // 50 routers, well under the dense limit
-  auto table = make_distance_oracle(small, OracleMode::Table);
+  auto table = make_distance_oracle(small);
   EXPECT_NE(dynamic_cast<const DistanceTable*>(table.get()), nullptr);
-  auto family = make_distance_oracle(small, OracleMode::Family);
-  EXPECT_NE(dynamic_cast<const SlimFlyOracle*>(family.get()), nullptr);
-  auto auto_small = make_distance_oracle(small, OracleMode::Auto);
-  EXPECT_NE(dynamic_cast<const DistanceTable*>(auto_small.get()), nullptr);
 
-  // 2^13 = 8192 routers > kDenseOracleRouterLimit: Auto flips to family.
+  // 2^13 = 8192 routers > kDenseOracleRouterLimit: the family oracle.
   Hypercube big(13);
   ASSERT_GT(big.num_routers(), kDenseOracleRouterLimit);
-  auto auto_big = make_distance_oracle(big, OracleMode::Auto);
-  EXPECT_NE(dynamic_cast<const HypercubeOracle*>(auto_big.get()), nullptr);
-  EXPECT_EQ(auto_big->diameter(), 13);
-  EXPECT_EQ(auto_big->dist(0, (1 << 13) - 1), 13);
+  auto family = make_distance_oracle(big);
+  EXPECT_NE(dynamic_cast<const HypercubeOracle*>(family.get()), nullptr);
+  EXPECT_EQ(family->diameter(), 13);
+  EXPECT_EQ(family->dist(0, (1 << 13) - 1), 13);
 }
 
 TEST(OracleFactory, FamilySelectionPerTopology) {

@@ -219,12 +219,13 @@ TEST(RoutingBase, NextRouterFollowsPath) {
 }
 
 TEST(OracleBitIdentity, SimulateByteIdenticalUnderTableAndFamilyOracles) {
-  // One simulated point per (topology, routing) cell, run twice: once with
-  // the dense table, once with the per-family oracle. Every stats field
-  // must be byte-identical — the oracle is a memory knob, never a result
-  // knob. VAL and the UGAL pair consume RNG inside sample_minimal_path, so
-  // a single extra (or missing) draw anywhere would cascade into every
-  // field here.
+  // One simulated point per (topology, routing) cell, run with the dense
+  // table and with the per-family oracle injected, sequentially and
+  // router-parallel. Every stats field must be byte-identical: whichever
+  // oracle make_distance_oracle picks for the router count, the results are
+  // the same. VAL and the UGAL family consume RNG inside
+  // sample_minimal_path, so a single extra (or missing) draw anywhere would
+  // cascade into every field here.
   SimConfig cfg;
   cfg.warmup_cycles = 150;
   cfg.measure_cycles = 300;
@@ -232,25 +233,33 @@ TEST(OracleBitIdentity, SimulateByteIdenticalUnderTableAndFamilyOracles) {
   cfg.seed = 23;
   for (const std::string& spec :
        {std::string("slimfly:q=5"), std::string("torus:dims=4x4"),
-        std::string("hypercube:n=6"), std::string("dln:n=36,k=6,p=2,seed=3")}) {
+        std::string("hypercube:n=6"), std::string("dln:n=36,k=6,p=2,seed=3"),
+        std::string("dragonfly:p=2,a=4,h=2")}) {
     SCOPED_TRACE(spec);
     auto topo = topo::make(spec);
-    for (const char* routing : {"MIN", "VAL", "UGAL-L", "UGAL-G"}) {
+    const std::shared_ptr<const DistanceOracle> table =
+        std::make_shared<DistanceTable>(topo->graph());
+    const std::shared_ptr<const DistanceOracle> family = make_family_oracle(*topo);
+    for (const char* routing : {"MIN", "VAL", "UGAL-L", "UGAL-G", "DF-UGAL-L"}) {
+      if (!routing_supported(parse_routing_spec(routing).kind, *topo)) continue;
       SCOPED_TRACE(routing);
-      auto run_with = [&](OracleMode mode) {
-        auto bundle = make_routing_spec(
-            routing, *topo, make_distance_oracle(*topo, mode));
-        auto traffic = make_uniform(topo->num_endpoints());
-        return simulate(*topo, *bundle.algorithm, *traffic, cfg, 0.3);
-      };
-      const SimResult a = run_with(OracleMode::Table);
-      const SimResult b = run_with(OracleMode::Family);
-      EXPECT_EQ(a.avg_latency, b.avg_latency);
-      EXPECT_EQ(a.avg_network_latency, b.avg_network_latency);
-      EXPECT_EQ(a.p99_latency, b.p99_latency);
-      EXPECT_EQ(a.accepted_load, b.accepted_load);
-      EXPECT_EQ(a.delivered, b.delivered);
-      EXPECT_EQ(a.saturated, b.saturated);
+      for (int intra : {1, 2}) {
+        SCOPED_TRACE(intra);
+        cfg.intra_threads = intra;
+        auto run_with = [&](const std::shared_ptr<const DistanceOracle>& oracle) {
+          auto bundle = make_routing_spec(routing, *topo, oracle);
+          auto traffic = make_uniform(topo->num_endpoints());
+          return simulate(*topo, *bundle.algorithm, *traffic, cfg, 0.3);
+        };
+        const SimResult a = run_with(table);
+        const SimResult b = run_with(family);
+        EXPECT_EQ(a.avg_latency, b.avg_latency);
+        EXPECT_EQ(a.avg_network_latency, b.avg_network_latency);
+        EXPECT_EQ(a.p99_latency, b.p99_latency);
+        EXPECT_EQ(a.accepted_load, b.accepted_load);
+        EXPECT_EQ(a.delivered, b.delivered);
+        EXPECT_EQ(a.saturated, b.saturated);
+      }
     }
   }
 }

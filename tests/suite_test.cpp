@@ -230,6 +230,12 @@ TEST(SuiteParser, StructuralErrorsAreNamed) {
       "\"series\": [{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
       "\"traffic\": \"uniform\"}]}",
       {"unknown config key \"zz\"", "buffer_per_port"});
+  // An unknown key is named even when its value is not a number.
+  expect_parse_error(
+      "{\"suite\": \"x\", \"loads\": [0.1], \"config\": {\"oracle\": \"family\"}, "
+      "\"series\": [{\"topology\": \"slimfly:q=5\", \"routing\": \"MIN\", "
+      "\"traffic\": \"uniform\"}]}",
+      {"unknown config key \"oracle\""});
   // Per-series config blocks must not smuggle run-level keys.
   expect_parse_error(
       "{\"suite\": \"x\", \"loads\": [0.1], \"series\": "

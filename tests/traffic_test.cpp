@@ -7,6 +7,7 @@
 #include "sim/traffic.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
+#include "topo/registry.hpp"
 
 namespace slimfly::sim {
 namespace {
@@ -149,6 +150,78 @@ TEST(WorstCaseSf, SendersUseTwoHopPaths) {
     int d = t->destination(e, rng);
     if (d >= 0) {
       EXPECT_TRUE(dist_ok(e, d));
+    }
+  }
+}
+
+// The Figure 9 construction written against an all-pairs BFS matrix, as a
+// reference for the adjacency-only test the pattern itself uses.
+std::vector<int> worst_case_sf_reference(const Topology& topo) {
+  const Graph& g = topo.graph();
+  const int ner = topo.num_endpoint_routers();
+  std::vector<std::vector<int>> dist;
+  for (int r = 0; r < topo.num_routers(); ++r) {
+    dist.push_back(analysis::bfs_distances(g, r));
+  }
+  std::vector<int> target(static_cast<std::size_t>(topo.num_routers()), -1);
+  auto at = [&](int r) -> int& { return target[static_cast<std::size_t>(r)]; };
+  auto d = [&](int u, int v) {
+    return dist[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)];
+  };
+  for (const auto& [rx, ry] : g.edges()) {
+    if (rx >= ner || ry >= ner || at(rx) != -1 || at(ry) != -1) continue;
+    bool any = false;
+    for (int ri : g.neighbors(ry)) {
+      if (ri != rx && ri < ner && at(ri) == -1 && d(ri, rx) == 2) {
+        at(ri) = rx;
+        any = true;
+      }
+    }
+    for (int rb : g.neighbors(rx)) {
+      if (rb != ry && rb < ner && at(rb) == -1 && d(rb, ry) == 2) {
+        at(rb) = ry;
+        any = true;
+      }
+    }
+    if (!any) continue;
+    for (int ri : g.neighbors(ry)) {
+      if (at(ri) == rx) {
+        at(rx) = ri;
+        break;
+      }
+    }
+    for (int rb : g.neighbors(rx)) {
+      if (at(rb) == ry) {
+        at(ry) = rb;
+        break;
+      }
+    }
+  }
+  std::vector<int> dst(static_cast<std::size_t>(topo.num_endpoints()), -1);
+  for (int e = 0; e < topo.num_endpoints(); ++e) {
+    const int t = at(topo.endpoint_router(e));
+    if (t >= 0) {
+      dst[static_cast<std::size_t>(e)] =
+          topo.first_endpoint(t) + (e - topo.first_endpoint(topo.endpoint_router(e)));
+    }
+  }
+  return dst;
+}
+
+TEST(WorstCaseSf, DestinationMapMatchesBfsReference) {
+  // Dragonfly groups are cliques, so neighbours of Ry are often adjacent;
+  // the random DLN graph mixes adjacent and non-adjacent neighbour pairs.
+  for (const char* spec : {"slimfly:q=5", "slimfly:q=7", "dragonfly:p=2,a=4,h=2",
+                           "dln:n=36,k=6,p=2,seed=3"}) {
+    SCOPED_TRACE(spec);
+    auto topo = topo::make(spec);
+    auto t = make_worst_case_sf(*topo);
+    const std::vector<int> want = worst_case_sf_reference(*topo);
+    ASSERT_NE(std::count(want.begin(), want.end(), -1),
+              static_cast<long>(want.size()));
+    Rng rng(8);
+    for (int e = 0; e < topo->num_endpoints(); ++e) {
+      EXPECT_EQ(t->destination(e, rng), want[static_cast<std::size_t>(e)]) << "e=" << e;
     }
   }
 }

@@ -1,7 +1,7 @@
 // Property-test harness for the workload layer (burst/hotspot modulation,
 // dependency-aware trace replay, allreduce collectives):
 //   1. Every parameterized pattern is byte-identical across the full
-//      SF_THREADS x SF_INTRA_THREADS x SF_ORACLE matrix.
+//      SF_THREADS x SF_INTRA_THREADS matrix.
 //   2. Trace-replay ordering is independent of shard count down to the
 //      windowed-stats rows.
 //   3. Burst offered load converges to the configured mean (load x mult x
@@ -103,15 +103,11 @@ void expect_matrix_identical(const std::string& traffic_spec) {
   EXPECT_NE(want.find(traffic_spec), std::string::npos);
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (int intra : {1, 2}) {
-      for (OracleMode oracle : {OracleMode::Auto, OracleMode::Family}) {
-        exp::ExperimentSpec run = spec;
-        run.config.intra_threads = intra;
-        run.config.oracle = oracle;
-        exp::ExperimentEngine engine(threads);
-        EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
-            << traffic_spec << " threads=" << threads << " intra=" << intra
-            << " oracle=" << to_string(oracle);
-      }
+      exp::ExperimentSpec run = spec;
+      run.config.intra_threads = intra;
+      exp::ExperimentEngine engine(threads);
+      EXPECT_EQ(want, exp::golden_trajectory(run, engine.run(run)))
+          << traffic_spec << " threads=" << threads << " intra=" << intra;
     }
   }
 }
